@@ -57,11 +57,14 @@ class ClassGraph:
         if self.phase_class not in ("phi1", "phi2"):
             raise ValueError("phase_class must be 'phi1' or 'phi2'")
         degree = {v: 0 for v in self.vertices}
-        for u, v in self.edges:
-            if u >= v:
-                raise ValueError("edges must be (low, high) pairs")
-            degree[u] += 1
-            degree[v] += 1
+        try:
+            for u, v in self.edges:
+                if u >= v:
+                    raise ValueError("edges must be (low, high) pairs")
+                degree[u] += 1
+                degree[v] += 1
+        except KeyError as exc:
+            raise ValueError(f"edge endpoint {exc} is not in the class") from None
         want = self.n_qubits - 1
         if any(d != want for d in degree.values()):
             raise ValueError(f"every vertex must have degree {want}")

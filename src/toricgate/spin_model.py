@@ -97,10 +97,10 @@ class DiagonalTwoQubitGate:
         if len(entries) != 4:
             raise ValueError("a two-qubit diagonal has exactly four entries")
         for p in entries:
-            if abs(abs(p) - 1.0) > 1e-12:
+            if not abs(abs(p) - 1.0) <= 1e-12:  # fails closed on NaN
                 raise ValueError("gate entries must have unit modulus")
         a, b, c, d = entries
-        if abs(a - d) > 1e-12 or abs(b - c) > 1e-12:
+        if not (abs(a - d) <= 1e-12 and abs(b - c) <= 1e-12):
             raise ValueError("gate diagonal must follow the (a, b, b, a) pattern")
         object.__setattr__(self, "phases", entries)
 
@@ -173,6 +173,9 @@ def berry_phases(params: PhysicalParams) -> BerryPhaseResult:
     gamma_plus = -math.pi * (1.0 - cos_plus)
     gamma_minus = math.pi * (1.0 - cos_minus)
     shift = gamma_plus + gamma_minus
+    # every output is finite once both cosines are, and shift depends on both
+    if not math.isfinite(shift):
+        raise ValueError("drive parameters overflow: Berry phases are not finite")
     return BerryPhaseResult(
         cos_theta_plus=cos_plus,
         cos_theta_minus=cos_minus,

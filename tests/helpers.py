@@ -21,6 +21,17 @@ def dense_cphase_matrix(n, control, target, phi1, phi2):
     return perm.T @ op @ perm
 
 
+def reference_cphase(amps, n, control, target, equal_factor, unequal_factor):
+    """Controlled-phase by selecting factors on shifted index bits."""
+    idx = np.arange(amps.size)
+    control_bits = (idx >> (n - control)) & 1
+    target_bits = (idx >> (n - target)) & 1
+    # a named temporary: numpy may not elide it and swap the operands of the
+    # product, which changes the last bit of complex products on FMA hardware
+    factors = np.where(control_bits == target_bits, equal_factor, unequal_factor)
+    return amps * factors
+
+
 def random_state(rng, n):
     amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
     return amps / np.linalg.norm(amps)

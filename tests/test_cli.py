@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,6 +58,20 @@ def test_gate_degenerate_drive_is_domain_error():
                            "--j", "0", "--omega", "2", "--omega1", "0"])
     assert code == 2
     assert "cos(theta)" in err
+
+
+def test_gate_overflow_is_domain_error():
+    code, out, err = invoke(["gate", "--omega-i", "1e308", "--omega-j", "0",
+                             "--j", "1e308", "--omega", "0", "--omega1", "1"])
+    assert code == 2
+    assert out == ""
+    assert "not finite" in err
+
+
+def test_concurrence_nan_phi1_is_domain_error():
+    code, out, _ = invoke(["concurrence", "--phi1", "nan"])
+    assert code == 2
+    assert out == ""
 
 
 def test_gate_bad_ordering_is_domain_error():
@@ -227,7 +242,15 @@ def test_module_entry_point():
 
 
 def test_console_script():
-    proc = subprocess.run(["toricgate", "partition", "--n", "2",
+    import tomllib  # Python 3.11+
+
+    # run the declared [project.scripts] target as its installed wrapper would
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    module, func = scripts["toricgate"].split(":")
+    code = (f"import sys, {module}; sys.argv[0] = 'toricgate'; "
+            f"sys.exit({module}.{func}())")
+    proc = subprocess.run([sys.executable, "-c", code, "partition", "--n", "2",
                            "--control", "1", "--target", "2"],
                           capture_output=True, text=True)
     assert proc.returncode == 0

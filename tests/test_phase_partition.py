@@ -185,6 +185,12 @@ def test_class_graph_degree_validated():
                    vertices=(0, 1, 6, 7), edges=((0, 1), (6, 7)))
 
 
+def test_class_graph_foreign_vertex_is_value_error():
+    with pytest.raises(ValueError, match="not in the class"):
+        ClassGraph(2, GatePlacement(1, 2), "phi1",
+                   vertices=(0, 3), edges=((0, 2),))
+
+
 def test_intersection_summary_examples():
     two = intersection_summary(partition_vertices(2, GatePlacement(1, 2)))
     assert two.shared_vertices == 0

@@ -169,6 +169,25 @@ def test_gate_pattern_enforced():
         DiagonalTwoQubitGate((2, 1, 1, 2))
 
 
+@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+def test_gate_rejects_non_finite_angle(phi):
+    with pytest.raises(ValueError):
+        DiagonalTwoQubitGate.from_phi1(phi)
+
+
+def test_gate_rejects_nan_entries():
+    nan = complex(math.nan, 0.0)
+    with pytest.raises(ValueError):
+        DiagonalTwoQubitGate((nan, nan, nan, nan))
+    with pytest.raises(ValueError):
+        DiagonalTwoQubitGate((1, 1j, complex(0.0, math.nan), 1))
+
+
+def test_berry_phases_overflow_raises():
+    with pytest.raises(ValueError):
+        berry_phases(PhysicalParams(1e308, 0.0, 1e308, 0.0, 1.0))
+
+
 def test_cphase_gate_matches_angles():
     r = berry_phases(_params())
     g = cphase_gate(r)

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import dense_cphase_matrix, random_state, xnor_class
+from helpers import dense_cphase_matrix, random_state, reference_cphase, xnor_class
 from toricgate.spin_model import DiagonalTwoQubitGate
 from toricgate.statevec import (GatePlacement, StateVector, apply_cphase,
                                 concurrence, extract_phase_classes,
@@ -34,6 +35,21 @@ def test_state_vector_validation():
         StateVector([1.0, 1.0])  # unnormalized
     s = StateVector([1.0, 0.0])
     assert not s.amplitudes.flags.writeable
+
+
+@pytest.mark.parametrize("amps", [[math.nan, 0.0], [math.inf, 0.0],
+                                  [complex(0.0, math.nan), 1.0]])
+def test_state_vector_rejects_non_finite(amps):
+    with pytest.raises(ValueError):
+        StateVector(amps)
+
+
+def test_state_vector_copies_caller_input():
+    amps = np.array([1.0, 0.0], dtype=complex)
+    s = StateVector(amps)
+    assert not np.shares_memory(s.amplitudes, amps)
+    amps[0] = 0.0
+    assert s.amplitudes[0] == 1.0
 
 
 def test_placement_validation():
@@ -115,6 +131,44 @@ def test_apply_matches_kronecker_oracle_small():
         assert np.allclose(out.amplitudes, expected, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", range(2, 8))
+def test_apply_every_ordered_pair_matches_references(n):
+    rng = np.random.default_rng(100 + n)
+    phi1, phi2 = 0.61, -1.17
+    gate = DiagonalTwoQubitGate.from_angles(phi1, phi2)
+    s = StateVector(random_state(rng, n))
+    before = s.amplitudes.copy()
+    for control in range(1, n + 1):
+        for target in range(1, n + 1):
+            if control == target:
+                continue
+            out = apply_cphase(s, gate, GatePlacement(control, target))
+            want = reference_cphase(s.amplitudes, n, control, target,
+                                    gate.equal_bits_factor, gate.unequal_bits_factor)
+            assert np.array_equal(out.amplitudes, want)
+            dense = dense_cphase_matrix(n, control, target, phi1, phi2) @ s.amplitudes
+            assert np.max(np.abs(out.amplitudes - dense)) <= 1e-12
+            assert not out.amplitudes.flags.writeable
+            assert not np.shares_memory(out.amplitudes, s.amplitudes)
+    assert np.array_equal(s.amplitudes, before)
+
+
+def test_apply_allocates_only_the_output():
+    n = 16
+    s = StateVector(random_state(np.random.default_rng(5), n))
+    gate = DiagonalTwoQubitGate.from_phi1(0.3)
+    tracemalloc.start()
+    try:
+        out = apply_cphase(s, gate, GatePlacement(11, 3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * s.amplitudes.nbytes
+    want = reference_cphase(s.amplitudes, n, 11, 3,
+                            gate.equal_bits_factor, gate.unequal_bits_factor)
+    assert np.array_equal(out.amplitudes, want)
+
+
 def test_concurrence_uniform_is_zero():
     assert concurrence(uniform_superposition(2)) == pytest.approx(0.0, abs=1e-15)
 
@@ -183,6 +237,11 @@ def test_text_format_shape():
     assert lines[1].startswith("00 ")
     assert lines[4].startswith("11 ")
     assert len(lines) == 5
+
+
+def test_text_parse_rejects_non_finite():
+    with pytest.raises(ValueError):
+        state_from_text("n=1\n0 nan 0\n1 0 0\n")
 
 
 def test_text_parse_rejects_garbage():
