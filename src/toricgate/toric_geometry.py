@@ -1,7 +1,10 @@
 """Exact lattice cones, their duals, and the chart/fan family of (P^1)^n.
 
 Everything in this module runs on integers and `fractions.Fraction`; no
-floating point enters any predicate. Cone operations are implemented for
+floating point enters any predicate. One fraction-free integer elimination
+routine backs `is_simplicial`, `cone_contains` and `dual_cone`, and one
+order-keeping dedup validates the vectors of `Cone`, `Polytope` and
+`LaurentSupport`. Cone operations are implemented for
 simplicial cones (linearly independent generator sets), which covers the
 signed orthants that make up the fan of an n-fold product of projective
 lines together with their images under lattice automorphisms.
@@ -9,6 +12,7 @@ lines together with their images under lattice automorphisms.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -51,6 +55,13 @@ def primitive_vector(vec: Sequence) -> IntVector:
     return tuple(i // g for i in ints)
 
 
+def _distinct_vectors(dimension: int, vectors: Iterable[Sequence[int]]) -> tuple[IntVector, ...]:
+    """Validate every vector, then drop repeats keeping first occurrences in order."""
+    if dimension < 1:
+        raise ValueError("dimension must be at least 1")
+    return tuple(dict.fromkeys(_as_int_vector(v, dimension) for v in vectors))
+
+
 @dataclass(frozen=True)
 class Cone:
     """Convex cone of nonnegative combinations of integer generators.
@@ -63,15 +74,8 @@ class Cone:
     generators: tuple[IntVector, ...]
 
     def __post_init__(self) -> None:
-        if self.dimension < 1:
-            raise ValueError("dimension must be at least 1")
-        zero = (0,) * self.dimension
-        cleaned: list[IntVector] = []
-        for gen in self.generators:
-            v = _as_int_vector(gen, self.dimension)
-            if v != zero and v not in cleaned:
-                cleaned.append(v)
-        object.__setattr__(self, "generators", tuple(cleaned))
+        gens = _distinct_vectors(self.dimension, self.generators)
+        object.__setattr__(self, "generators", tuple(v for v in gens if any(v)))
 
     @property
     def primitive_generators(self) -> frozenset[IntVector]:
@@ -87,16 +91,10 @@ class Polytope:
     vertices: tuple[IntVector, ...]
 
     def __post_init__(self) -> None:
-        if self.dimension < 1:
-            raise ValueError("dimension must be at least 1")
-        cleaned: list[IntVector] = []
-        for vert in self.vertices:
-            v = _as_int_vector(vert, self.dimension)
-            if v not in cleaned:
-                cleaned.append(v)
-        if not cleaned:
+        verts = _distinct_vectors(self.dimension, self.vertices)
+        if not verts:
             raise ValueError("a polytope needs at least one vertex")
-        object.__setattr__(self, "vertices", tuple(cleaned))
+        object.__setattr__(self, "vertices", verts)
 
 
 @dataclass(frozen=True)
@@ -107,14 +105,8 @@ class LaurentSupport:
     exponents: tuple[IntVector, ...]
 
     def __post_init__(self) -> None:
-        if self.dimension < 1:
-            raise ValueError("dimension must be at least 1")
-        cleaned: list[IntVector] = []
-        for exp in self.exponents:
-            v = _as_int_vector(exp, self.dimension)
-            if v not in cleaned:
-                cleaned.append(v)
-        object.__setattr__(self, "exponents", tuple(cleaned))
+        object.__setattr__(self, "exponents",
+                           _distinct_vectors(self.dimension, self.exponents))
 
 
 @dataclass(frozen=True)
@@ -154,9 +146,11 @@ class Fan:
 
     def __post_init__(self) -> None:
         rays = tuple(_as_int_vector(r, self.dimension) for r in self.rays)
-        if len(set(rays)) != len(rays):
-            raise ValueError("rays must be distinct")
         ray_set = set(rays)
+        if len(ray_set) != len(rays):
+            raise ValueError("rays must be distinct")
+        if (0,) * self.dimension in ray_set:
+            raise ValueError("rays must be nonzero")
         seen: set[frozenset[IntVector]] = set()
         for cone in self.maximal_cones:
             if cone.dimension != self.dimension:
@@ -180,109 +174,36 @@ class Fan:
 # exact linear algebra on small integer matrices
 
 
-def _int_rank(rows: Sequence[IntVector]) -> int:
-    """Rank over the rationals of an integer matrix, by fraction-free elimination."""
-    if not rows:
-        return 0
+def _eliminate(rows: Iterable[Sequence[int]], pivot_cols: int) -> tuple[int, list[list[int]]]:
+    """Fraction-free Gauss-Jordan reduction on the first `pivot_cols` columns.
+
+    Returns the rank and the reduced rows. Row j < rank holds the j-th pivot,
+    and every other row is zero in that pivot's column; rows from the rank on
+    are zero in all of the first `pivot_cols` columns. Each updated row is
+    divided by the gcd of its entries, so a row keeps the ratios of the
+    rational reduction while its integers stay small.
+    """
     m = [list(r) for r in rows]
-    cols = len(m[0])
-    row = 0
-    for col in range(cols):
-        pivot = next((r for r in range(row, len(m)) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        for r in range(row + 1, len(m)):
-            if m[r][col] != 0:
-                factor, lead = m[r][col], m[row][col]
-                m[r] = [lead * m[r][c] - factor * m[row][c] for c in range(cols)]
-        row += 1
-        if row == len(m):
-            break
-    return row
-
-
-def _int_det(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix (Bareiss, exact divisions)."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def _solve_square(generators: Sequence[IntVector], point: IntVector) -> list[Fraction]:
-    """Cramer solve of sum_j c_j * g_j = point for d independent generators."""
-    d = len(point)
-    base = [[generators[j][i] for j in range(d)] for i in range(d)]
-    det = _int_det(base)
-    if det == 0:
-        raise NonSimplicialCone("generators are linearly dependent")
-    coeffs = []
-    for j in range(d):
-        replaced = [row[:] for row in base]
-        for i in range(d):
-            replaced[i][j] = point[i]
-        coeffs.append(Fraction(_int_det(replaced), det))
-    return coeffs
-
-
-def _solve_rectangular(generators: Sequence[IntVector],
-                       point: IntVector) -> list[Fraction] | None:
-    """Exact solve for k < d independent generators; None if point leaves the span."""
-    k, d = len(generators), len(point)
-    rows = [[Fraction(generators[j][i]) for j in range(k)] + [Fraction(point[i])]
-            for i in range(d)]
     rank = 0
-    for col in range(k):
-        pivot = next((r for r in range(rank, d) if rows[r][col] != 0), None)
-        if pivot is None:
-            raise NonSimplicialCone("generators are linearly dependent")
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        lead = rows[rank][col]
-        rows[rank] = [x / lead for x in rows[rank]]
-        for r in range(d):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+    for col in range(pivot_cols):
+        # touching only the rows that are nonzero in the column keeps sparse
+        # input, such as the fan's signed orthants, as cheap as a rank test
+        hits = [r for r, row in enumerate(m) if row[col]]
+        i = bisect_left(hits, rank)
+        if i == len(hits):
+            continue
+        pivot = hits.pop(i)
+        m[rank], m[pivot] = m[pivot], m[rank]
+        top = m[rank]
+        lead = top[col]
+        for r in hits:
+            row = m[r]
+            factor = row[col]
+            new = [lead * a - factor * b for a, b in zip(row, top)]
+            g = gcd(*new)
+            m[r] = [x // g for x in new] if g > 1 else new
         rank += 1
-    for r in range(rank, d):
-        if rows[r][k] != 0:
-            return None
-    return [rows[j][k] for j in range(k)]
-
-
-def _invert_rows(rows: Sequence[IntVector]) -> list[list[Fraction]]:
-    """Exact inverse of a square integer matrix given by its rows."""
-    d = len(rows)
-    aug = [[Fraction(rows[i][j]) for j in range(d)]
-           + [Fraction(1 if k == i else 0) for k in range(d)] for i in range(d)]
-    for col in range(d):
-        pivot = next((r for r in range(col, d) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise NonSimplicialCone("generators are linearly dependent")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        lead = aug[col][col]
-        aug[col] = [x / lead for x in aug[col]]
-        for r in range(d):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [row[d:] for row in aug]
+    return rank, m
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +220,7 @@ def is_simplicial(cone: Cone) -> bool:
         return True
     if len(gens) > cone.dimension:
         return False
-    return _int_rank(gens) == len(gens)
+    return _eliminate(gens, cone.dimension)[0] == len(gens)
 
 
 def is_strongly_convex(cone: Cone) -> bool:
@@ -319,19 +240,18 @@ def cone_contains(cone: Cone, point: Sequence[int]) -> bool:
     `NonSimplicialCone`.
     """
     p = _as_int_vector(point, cone.dimension)
-    gens = cone.generators
+    gens, k, d = cone.generators, len(cone.generators), cone.dimension
     if not gens:
         return all(c == 0 for c in p)
-    if len(gens) > cone.dimension:
+    if k > d:
         raise NonSimplicialCone("more generators than the dimension allows")
-    if len(gens) == cone.dimension:
-        coeffs = _solve_square(gens, p)
-    else:
-        maybe = _solve_rectangular(gens, p)
-        if maybe is None:
-            return False
-        coeffs = maybe
-    return all(c >= 0 for c in coeffs)
+    rank, m = _eliminate(([g[i] for g in gens] + [p[i]] for i in range(d)), k)
+    if rank < k:
+        raise NonSimplicialCone("generators are linearly dependent")
+    if any(m[r][k] for r in range(k, d)):
+        return False  # the point leaves the span of the generators
+    # row j reads m[j][j] * c_j = m[j][k] for the coefficient c_j of generator j
+    return all(m[j][k] * m[j][j] >= 0 for j in range(k))
 
 
 def dual_cone(cone: Cone) -> Cone:
@@ -341,16 +261,19 @@ def dual_cone(cone: Cone) -> Cone:
     of V^-1 (the rows of the inverse transpose), each cleared to a primitive
     integer vector with its direction preserved.
     """
-    gens = cone.generators
-    d = cone.dimension
-    if not is_simplicial(cone):
+    gens, k, d = cone.generators, len(cone.generators), cone.dimension
+    # reduce [V | I] to [D | D V^-1] with D diagonal; column c of V^-1 is then
+    # m[i][d + c] / m[i][i] over the rows i, scaled here by the positive lcm
+    rank, m = _eliminate(([*g] + [int(i == j) for j in range(k)]
+                          for i, g in enumerate(gens)), d)
+    if rank < k:
         raise NonSimplicialCone("dual_cone requires linearly independent generators")
-    if len(gens) != d:
+    if k != d:
         raise NotFullDimensional(
-            f"dual_cone requires {d} generators spanning the space, got {len(gens)}")
-    inverse = _invert_rows(gens)
-    duals = tuple(primitive_vector(tuple(inverse[i][k] for i in range(d)))
-                  for k in range(d))
+            f"dual_cone requires {d} generators spanning the space, got {k}")
+    scale = lcm(*(m[i][i] for i in range(d)))
+    duals = tuple(primitive_vector([scale // m[i][i] * m[i][d + c] for i in range(d)])
+                  for c in range(d))
     return Cone(d, duals)
 
 

@@ -1,4 +1,7 @@
 """Shared oracles for the test suite, independent of the library internals."""
+from fractions import Fraction
+from math import gcd, lcm
+
 import numpy as np
 
 
@@ -51,3 +54,58 @@ def xnor_class(n, control, target, agree):
         if (s[control - 1] == s[target - 1]) == agree:
             out.add(x)
     return out
+
+
+def rational_rref(rows):
+    """Reduced row echelon form over the rationals, by Gauss-Jordan on
+    Fractions: (pivot columns, rows with each pivot scaled to 1)."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(len(m[0]) if m else 0):
+        r = next((r for r in range(len(pivots), len(m)) if m[r][col] != 0), None)
+        if r is None:
+            continue
+        top = len(pivots)
+        m[top], m[r] = m[r], m[top]
+        m[top] = [x / m[top][col] for x in m[top]]
+        for i in range(len(m)):
+            if i != top and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[top])]
+        pivots.append(col)
+    return pivots, m
+
+
+def coprime_direction(vec):
+    """Positive multiple of a nonzero rational vector with coprime integer entries."""
+    den = lcm(*(Fraction(x).denominator for x in vec))
+    ints = [int(Fraction(x) * den) for x in vec]
+    g = gcd(*ints)
+    return tuple(i // g for i in ints)
+
+
+def cone_oracle(d, gens, point):
+    """Expected (is_simplicial, contains, dual) for the cone over the distinct
+    nonzero integer generators `gens` in dimension d. `contains` and `dual`
+    are exception types where the library must raise: NonSimplicialCone is
+    given as "dependent" and NotFullDimensional as "not full"."""
+    k = len(gens)
+    simplicial = len(rational_rref(gens)[0]) == k
+    if not gens:
+        contains = all(c == 0 for c in point)
+    elif not simplicial:
+        contains = "dependent"
+    else:
+        pivots, m = rational_rref([[g[i] for g in gens] + [point[i]] for i in range(d)])
+        # a pivot in the last column means the point is off the span
+        contains = k not in pivots and all(m[j][k] >= 0 for j in range(k))
+    if not simplicial:
+        dual = "dependent"
+    elif k != d:
+        dual = "not full"
+    else:
+        _, m = rational_rref([list(g) + [int(i == j) for j in range(d)]
+                              for i, g in enumerate(gens)])
+        dual = tuple(coprime_direction([m[i][d + c] for i in range(d)])
+                     for c in range(d))
+    return simplicial, contains, dual

@@ -4,8 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from toricgate.toric_geometry import (Chart, Cone, Fan, LaurentSupport,
+from helpers import cone_oracle, rational_rref
+from toricgate.toric_geometry import (MAX_FACTORS, Chart, Cone, Fan, LaurentSupport,
                                       NonSimplicialCone, NotFullDimensional,
                                       Polytope, cone_contains, dual_cone,
                                       fan_to_text, is_simplicial,
@@ -190,6 +193,66 @@ def test_biduality_and_membership_random():
                 assert cone_contains(dual, point) == by_products
 
 
+# --- properties against the Fraction oracle --------------------------------
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NonSimplicialCone:
+        return "dependent"
+    except NotFullDimensional:
+        return "not full"
+
+
+@st.composite
+def _cone_cases(draw):
+    """Integer generator sets in dimension d <= 6, square and k < d, with
+    dependent, duplicate and zero generators, and a point that is either a
+    combination of the generators or arbitrary (mostly off a lower span)."""
+    d = draw(st.integers(1, 6))
+    vec = st.tuples(*[st.integers(-4, 4)] * d)
+    gens = draw(st.lists(vec, max_size=d + 1))
+    extra = draw(st.sampled_from(["none", "duplicate", "zero", "dependent"]))
+    if extra == "zero":
+        gens.append((0,) * d)
+    elif gens and extra == "duplicate":
+        gens.append(draw(st.sampled_from(gens)))
+    elif gens and extra == "dependent":
+        a, b = draw(st.sampled_from(gens)), draw(st.sampled_from(gens))
+        s, t = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        gens.append(tuple(s * x + t * y for x, y in zip(a, b)))
+    gens = draw(st.permutations(gens))
+    if gens and draw(st.booleans()):
+        coeffs = draw(st.lists(st.integers(-2, 3), min_size=len(gens), max_size=len(gens)))
+        point = tuple(sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(d))
+    else:
+        point = draw(vec)
+    return d, gens, point
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(_cone_cases())
+def test_cone_operations_match_rational_oracle(case):
+    d, gens, point = case
+    cone = Cone(d, gens)
+    distinct = tuple(dict.fromkeys(g for g in gens if any(g)))
+    assert cone.generators == distinct
+    simplicial, contains, dual = cone_oracle(d, distinct, point)
+    assert is_simplicial(cone) == simplicial
+    assert _outcome(cone_contains, cone, point) == contains
+    assert _outcome(lambda c: dual_cone(c).generators, cone) == dual
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda d: st.lists(st.tuples(*[st.integers(-5, 5)] * d), min_size=d, max_size=d)))
+def test_biduality_property(gens):
+    d = len(gens)
+    assume(len(rational_rref(gens)[0]) == d)
+    cone = Cone(d, gens)
+    assert dual_cone(dual_cone(cone)).primitive_generators == cone.primitive_generators
+
+
 # --- Laurent supports -----------------------------------------------------
 
 def test_support_in_cone():
@@ -284,6 +347,8 @@ def test_fan_validation():
     with pytest.raises(ValueError):
         Fan(2, ray_pair,
             (Cone(2, ((1, 0), (0, 1))), Cone(2, ((0, 1), (1, 0)))))  # duplicate
+    with pytest.raises(ValueError):
+        Fan(1, ((0,), (1,)), (Cone(1, ((1,),)),))  # zero ray
 
 
 def test_moment_polytope():
@@ -293,6 +358,10 @@ def test_moment_polytope():
     assert len(cube.vertices) == 8
     assert all(set(v) <= {0, 1} for v in cube.vertices)
     assert len(moment_polytope(4).vertices) == 16
+    # the advertised cap, all 2^16 vertices in bit order
+    n = MAX_FACTORS
+    assert moment_polytope(n).vertices == tuple(
+        tuple(int(b) for b in format(x, f"0{n}b")) for x in range(1 << n))
 
 
 def test_polytope_validation():
@@ -300,6 +369,15 @@ def test_polytope_validation():
         Polytope(2, ())
     p = Polytope(2, ((0, 0), (0, 0), (1, 1)))
     assert p.vertices == ((0, 0), (1, 1))
+    # first occurrences are kept, in order
+    repeats = ((1, 1), (0, 0), (1, 1), (0, 1), (0, 0), (0, 1))
+    assert Polytope(2, repeats).vertices == ((1, 1), (0, 0), (0, 1))
+    assert LaurentSupport(2, repeats).exponents == ((1, 1), (0, 0), (0, 1))
+    # every vector is validated, even one equal to an earlier vertex
+    with pytest.raises(ValueError):
+        Polytope(2, ((1, 0), (True, 0)))
+    with pytest.raises(ValueError):
+        LaurentSupport(2, ((1, 0), (1, 0, 0)))
 
 
 # --- serialization --------------------------------------------------------
