@@ -1,18 +1,44 @@
-"""Bit-ordering convention shared across the package.
+"""Bit layout of basis indices: the one place a qubit becomes a bit position.
 
 A basis index x encodes the string x1 x2 ... xn with qubit 1 as the most
-significant bit, so |x1 x2 ... xn> sits at index sum_k x_k * 2^(n-k).
-Every module reads bits through these helpers so the convention cannot
-drift between the state vectors, the partitions, and the renderers.
+significant bit, so |x1 x2 ... xn> sits at index sum_k x_k * 2^(n-k). The
+simulator, the partitions, the renderers and the moment polytope read it only
+through `qubit_mask`, `bit_at`, `pair_view`, `cube_edges` and `bitstring`.
 """
 from __future__ import annotations
+
+import numpy as np
 
 MAX_QUBITS = 24
 
 
-def bit_at(index: int, qubit: int, n_qubits: int) -> int:
-    """Bit of `qubit` (1-based, most significant first) in an n-qubit basis index."""
+def qubit_mask(qubit: int, n_qubits: int) -> int:
+    """Single-bit mask of `qubit` (1-based, most significant first)."""
+    return 1 << (n_qubits - qubit)
+
+
+def bit_at(index: int | np.ndarray, qubit: int, n_qubits: int) -> int | np.ndarray:
+    """Bit of `qubit` in an n-qubit basis index, or elementwise in an index array."""
     return (index >> (n_qubits - qubit)) & 1
+
+
+def pair_view(array: np.ndarray, qubit_a: int, qubit_b: int) -> np.ndarray:
+    """A length-2^n array seen as (2^(a-1), 2, 2^(b-a-1), 2, 2^(n-b)), a < b the sorted pair.
+
+    `view[:, i, :, j, :]` holds the indices whose bits of qubits a and b read
+    i and j; a 2x2 table reshaped to (1, 2, 1, 2, 1) broadcasts against it.
+    """
+    a, b = sorted((qubit_a, qubit_b))
+    n = array.size.bit_length() - 1
+    return array.reshape(1 << (a - 1), 2, 1 << (b - a - 1), 2, 1 << (n - b))
+
+
+def cube_edges(n: int) -> np.ndarray:
+    """Edges of the n-cube as an (E, 2) array of (low, high) rows in ascending order."""
+    low = np.arange(1 << n)[:, None]
+    flips = 1 << np.arange(n)
+    keep = (low & flips) == 0  # row-major: low ascending, then the flipped bit
+    return np.stack((np.broadcast_to(low, keep.shape)[keep], (low | flips)[keep]), axis=1)
 
 
 def bitstring(index: int, n_qubits: int) -> str:

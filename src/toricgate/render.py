@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .bits import bitstring
+from .bits import bitstring, cube_edges, qubit_mask
 from .phase_partition import PhasePartition, class_graph
 from .statevec import GatePlacement
 
@@ -109,15 +109,6 @@ def _canvas_points(n: int, projection: str) -> dict[int, tuple[float, float]]:
     return {v: (scale * x + off_x, scale * y + off_y) for v, (x, y) in raw.items()}
 
 
-def _ambient_edges(n: int) -> list[tuple[int, int]]:
-    edges = []
-    for v in range(1 << n):
-        for b in range(n):
-            if not v & (1 << b):
-                edges.append((v, v | (1 << b)))
-    return sorted(edges)
-
-
 def _fmt(value: float) -> str:
     return f"{value:.3f}"
 
@@ -139,7 +130,7 @@ def render_partition_svg(partition: PhasePartition, spec: RenderSpec) -> str:
     ]
     out.append(f'  <g stroke="{spec.ambient_color}" '
                f'stroke-width="{_fmt(spec.ambient_stroke)}">')
-    for u, v in _ambient_edges(n):
+    for u, v in cube_edges(n):
         (x1, y1), (x2, y2) = points[u], points[v]
         out.append(f'    <line x1="{_fmt(x1)}" y1="{_fmt(y1)}" '
                    f'x2="{_fmt(x2)}" y2="{_fmt(y2)}"/>')
@@ -177,15 +168,15 @@ def render_partition_dot(partition: PhasePartition) -> str:
     placement = partition.placement
     out = [f'graph "partition_n{n}_c{placement.control}_t{placement.target}" {{',
            '  node [shape=circle, style=filled, fontname="monospace"];']
-    for v in range(1 << n):
+    labels = [bitstring(v, n) for v in range(1 << n)]
+    for v, label in enumerate(labels):
         color = DEFAULT_PHI1_COLOR if v in partition.class_phi1 else DEFAULT_PHI2_COLOR
-        out.append(f'  "{bitstring(v, n)}" [fillcolor="{color}"];')
-    for u, v in _ambient_edges(n):
-        out.append(f'  "{bitstring(u, n)}" -- "{bitstring(v, n)}";')
-    for which, color in (("phi1", DEFAULT_PHI1_COLOR), ("phi2", DEFAULT_PHI2_COLOR)):
-        graph = class_graph(partition, which)
-        for u, v in graph.diagonal_edges():
-            out.append(f'  "{bitstring(u, n)}" -- "{bitstring(v, n)}" '
-                       f'[style=dashed, color="{color}"];')
+        out.append(f'  "{label}" [fillcolor="{color}"];')
+    out += [f'  "{labels[u]}" -- "{labels[v]}";' for u, v in cube_edges(n)]
+    diagonal = qubit_mask(placement.control, n) | qubit_mask(placement.target, n)
+    for members, color in ((partition.class_phi1, DEFAULT_PHI1_COLOR),
+                           (partition.class_phi2, DEFAULT_PHI2_COLOR)):
+        out += [f'  "{labels[u]}" -- "{labels[u ^ diagonal]}" [style=dashed, color="{color}"];'
+                for u in sorted(members) if u < u ^ diagonal]
     out.append('}')
     return "\n".join(out) + "\n"

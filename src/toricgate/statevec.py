@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import MAX_QUBITS, bitstring
+from .bits import MAX_QUBITS, bitstring, pair_view
 from .spin_model import DiagonalTwoQubitGate
 
 _NORM_TOL = 1e-9
@@ -87,10 +87,8 @@ def apply_cphase(state: StateVector, gate: DiagonalTwoQubitGate,
     equal-bits factor, the rest by the unequal-bits factor. Norm is
     preserved and gates on disjoint placements commute.
     """
-    n = state.n_qubits
-    _check_placement(placement, n)
-    c, t = sorted((placement.control, placement.target))
-    view = state.amplitudes.reshape(1 << (c - 1), 2, 1 << (t - c - 1), 2, 1 << (n - t))
+    _check_placement(placement, state.n_qubits)
+    view = pair_view(state.amplitudes, placement.control, placement.target)
     eq, ne = gate.equal_bits_factor, gate.unequal_bits_factor
     table = np.array([[eq, ne], [ne, eq]]).reshape(1, 2, 1, 2, 1)
     return StateVector((view * table).reshape(-1), _owned=True)

@@ -2,9 +2,9 @@
 
 Everything in this module runs on integers and `fractions.Fraction`; no
 floating point enters any predicate. One fraction-free integer elimination
-routine backs `is_simplicial`, `cone_contains` and `dual_cone`, and one
+routine backs the cone predicates and `dual_cone`, and one
 order-keeping dedup validates the vectors of `Cone`, `Polytope` and
-`LaurentSupport`. Cone operations are implemented for
+`LaurentSupport`. Membership and duals are implemented for
 simplicial cones (linearly independent generator sets), which covers the
 signed orthants that make up the fan of an n-fold product of projective
 lines together with their images under lattice automorphisms.
@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
+
+from .bits import bit_at
 
 MAX_FACTORS = 16
 
@@ -226,11 +228,17 @@ def is_simplicial(cone: Cone) -> bool:
 def is_strongly_convex(cone: Cone) -> bool:
     """True when the cone contains no line through the origin.
 
-    For simplicial cones this is exactly linear independence of the
-    generators, which is the implemented criterion; dependent generator
-    sets therefore report False.
+    A line puts the negation of some generator in the cone. By Caratheodory,
+    a point of the cone lies in the cone of a linearly independent subset of
+    the generators, which extends to a basis of their span; so testing each
+    such basis with `cone_contains` decides it exactly.
     """
-    return is_simplicial(cone)
+    gens, d = cone.generators, cone.dimension
+    rank = _eliminate(gens, d)[0]
+    bases = (Cone(d, basis) for basis in itertools.combinations(gens, rank))
+    return rank == len(gens) or not any(
+        cone_contains(sub, tuple(-c for c in g))
+        for sub in bases if is_simplicial(sub) for g in gens)
 
 
 def cone_contains(cone: Cone, point: Sequence[int]) -> bool:
@@ -331,14 +339,15 @@ def product_p1_fan(n: int) -> Fan:
     _check_factor_count(n)
     plus = tuple(tuple(1 if i == k else 0 for i in range(n)) for k in range(n))
     minus = tuple(tuple(-1 if i == k else 0 for i in range(n)) for k in range(n))
-    cones = tuple(orthant_cone(signs) for signs in _sign_patterns(n))
+    cones = tuple(Cone(n, tuple(plus[k] if s == 1 else minus[k] for k, s in enumerate(signs)))
+                  for signs in _sign_patterns(n))
     return Fan(n, plus + minus, cones)
 
 
 def moment_polytope(n: int) -> Polytope:
     """Moment polytope of (P^1)^n: the unit n-cube with vertices {0,1}^n."""
     _check_factor_count(n)
-    verts = tuple(tuple((x >> (n - 1 - k)) & 1 for k in range(n))
+    verts = tuple(tuple(bit_at(x, q, n) for q in range(1, n + 1))
                   for x in range(1 << n))
     return Polytope(n, verts)
 

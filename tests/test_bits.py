@@ -1,0 +1,45 @@
+import itertools
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import hypercube_edges
+from toricgate.bits import bit_at, bitstring, cube_edges, pair_view, qubit_mask
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.integers(1, 12))
+def test_cube_edges_match_oracle(n):
+    edges = cube_edges(n)
+    assert edges.shape == (n * 2 ** (n - 1), 2)
+    assert [tuple(e) for e in edges.tolist()] == sorted(hypercube_edges(n))
+
+
+def test_cube_edges_of_the_point():
+    assert cube_edges(0).shape == (0, 2)
+
+
+def test_qubit_mask_and_bit_at_follow_the_string_order():
+    for n in range(1, 7):
+        index = np.arange(2 ** n)
+        for q in range(1, n + 1):
+            assert qubit_mask(q, n) == int("0" * (q - 1) + "1" + "0" * (n - q), 2)
+            want = [int(bitstring(x, n)[q - 1]) for x in range(2 ** n)]
+            assert bit_at(index, q, n).tolist() == want
+            assert [bit_at(x, q, n) for x in range(2 ** n)] == want
+
+
+def test_pair_view_slices_by_the_two_bits():
+    for n in range(2, 8):
+        index = np.arange(2 ** n)
+        for a, b in itertools.permutations(range(1, n + 1), 2):
+            view = pair_view(index, a, b)
+            assert np.shares_memory(view, index)
+            for i, j in itertools.product((0, 1), repeat=2):
+                # i is the bit of the lower-numbered qubit, j of the higher
+                lo, hi = sorted((a, b))
+                want = [x for x in range(2 ** n)
+                        if bitstring(x, n)[lo - 1] == str(i)
+                        and bitstring(x, n)[hi - 1] == str(j)]
+                assert view[:, i, :, j, :].ravel().tolist() == want

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -180,6 +181,24 @@ def test_partition_check_hypercube():
     assert "crossing edges: 16" in out
 
 
+# SHA-256 of `partition --check-hypercube` stdout above the goldens' sizes,
+# recorded before the partition layer moved onto `bits`
+PARTITION_DIGESTS = {
+    (8, 1, 8): "8fa3d555d37f4bc881415143ca05fc5a5fb48c76fe3079bb37ebd9c7c24965f2",
+    (8, 5, 3): "1cbcea9631da7b550b0a6801e3c36bd6a0a4f11bdd9732921cf46412d52d2995",
+    (12, 2, 11): "f1a3990b5ffb183ef618fcab2eb906ec9b6356fb7e22ee757d5b4cff0ca18716",
+    (12, 9, 4): "c2413ce912cca7f104e337bb748d1a120f6f1ced3ea3ffb031ba900bf53b9ee9",
+}
+
+
+@pytest.mark.parametrize("n,control,target", sorted(PARTITION_DIGESTS))
+def test_partition_check_hypercube_digest(n, control, target):
+    code, out, _ = invoke(["partition", "--n", str(n), "--control", str(control),
+                           "--target", str(target), "--check-hypercube"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PARTITION_DIGESTS[n, control, target]
+
+
 def test_fan_output():
     code, out, _ = invoke(["fan", "--n", "2"])
     assert code == 0
@@ -242,7 +261,10 @@ def test_module_entry_point():
 
 
 def test_console_script():
-    import tomllib  # Python 3.11+
+    try:
+        import tomllib
+    except ModuleNotFoundError:  # Python 3.10: the same parser as a package
+        import tomli as tomllib
 
     # run the declared [project.scripts] target as its installed wrapper would
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import hypercube_edges, xnor_class
 from toricgate.bits import bitstring
@@ -230,3 +232,55 @@ def test_partition_to_text():
         "n=3 control=1 target=2\n"
         "phi1: 000 001 110 111\n"
         "phi2: 010 011 100 101\n")
+
+
+# --- PAPER.md laws as properties, n <= 12 and every placement ----------------
+
+_placements = st.integers(2, 12).flatmap(
+    lambda n: st.tuples(st.just(n), st.permutations(range(1, n + 1)).map(lambda q: q[:2])))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_placements)
+def test_classes_are_bit_agreement_sets(case):
+    n, (control, target) = case
+    p = partition_vertices(n, GatePlacement(control, target))
+    assert p.class_phi1 == xnor_class(n, control, target, True)
+    assert p.class_phi2 == xnor_class(n, control, target, False)
+    swapped = partition_vertices(n, GatePlacement(target, control))
+    assert (swapped.class_phi1, swapped.class_phi2) == (p.class_phi1, p.class_phi2)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_placements)
+def test_each_class_graph_is_a_hypercube(case):
+    n, (control, target) = case
+    p = partition_vertices(n, GatePlacement(control, target))
+    for which in ("phi1", "phi2"):
+        g = class_graph(p, which)
+        match = is_hypercube_isomorphic(g)
+        assert match.is_isomorphic and match.failure is None
+        mapping = dict(match.vertex_map)
+        assert sorted(mapping) == list(g.vertices)
+        assert sorted(mapping.values()) == list(range(2 ** (n - 1)))
+        mapped = {tuple(sorted((mapping[u], mapping[v]))) for u, v in g.edges}
+        assert len(g.edges) == len(mapped) == len(hypercube_edges(n - 1))
+        assert mapped == hypercube_edges(n - 1)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_placements)
+def test_crossing_edges_are_the_placed_flips(case):
+    n, (control, target) = case
+    p = partition_vertices(n, GatePlacement(control, target))
+    crossing = 0
+    for u, v in hypercube_edges(n):
+        flipped = [k + 1 for k, (a, b) in enumerate(zip(bitstring(u, n), bitstring(v, n)))
+                   if a != b]
+        crosses = (u in p.class_phi1) != (v in p.class_phi1)
+        assert crosses == (flipped[0] in (control, target))
+        crossing += crosses
+    summary = intersection_summary(p)
+    assert summary.crossing_edges == crossing == 2 ** n
+    assert summary.shared_vertices == 0
+    assert summary.ambient_edges == len(hypercube_edges(n))

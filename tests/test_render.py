@@ -1,3 +1,4 @@
+import hashlib
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -176,3 +177,19 @@ def test_golden_files(kind, n):
     got = _svg(n) if kind == "svg" else _dot(n)
     golden = (GOLDEN / f"partition_n{n}.{kind}").read_text()
     assert got == golden
+
+
+# SHA-256 of the DOT text above the goldens' sizes, recorded before the
+# renderer took its edges from `bits.cube_edges`
+DOT_DIGESTS = {
+    (8, 1, 8): "704f803ff4b307287fa99bb6e131765dc386a2cab415afdc174c3c06d8cc291e",
+    (8, 5, 3): "e5bf4beb28b72237a505b3461372df24b62aa0cc4f9ce0bcddeb0badbe527b96",
+    (12, 2, 11): "ac852b8877c49e4d61e97127dcf6967e47f1b636b1154734438d1964f16171b6",
+    (12, 9, 4): "aafccdba3c3c23044ea7d4c221ced54a9013bedd2254379faceb45e45fc42f8c",
+}
+
+
+@pytest.mark.parametrize("n,control,target", sorted(DOT_DIGESTS))
+def test_dot_digest_large_n(n, control, target):
+    digest = hashlib.sha256(_dot(n, control, target).encode()).hexdigest()
+    assert digest == DOT_DIGESTS[n, control, target]

@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 from fractions import Fraction
 
@@ -122,9 +121,23 @@ def test_is_strongly_convex_examples():
     assert is_strongly_convex(Cone(2, ((1, 0), (1, 2))))
 
 
+def test_strongly_convex_dependent_generators():
+    # pointed but not simplicial: a quadrant with a redundant generator, and
+    # the cone over a square (a square pyramid)
+    assert is_strongly_convex(Cone(2, ((1, 0), (0, 1), (1, 1))))
+    assert is_strongly_convex(Cone(3, ((1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1))))
+    assert is_strongly_convex(Cone(2, ((1, 1), (2, 2))))  # one ray, two generators
+    # the same cones closed up into a line or a half-space
+    assert not is_strongly_convex(Cone(2, ((1, 0), (0, 1), (-1, -1))))
+    assert not is_strongly_convex(Cone(3, ((1, 0, 1), (0, 1, 1), (-1, 0, 1),
+                                           (0, -1, 1), (0, 0, -1))))
+    assert not is_strongly_convex(Cone(2, ((1, 1), (-2, -2))))
+
+
 def test_strongly_convex_matches_angular_check_2d():
-    # independent 2D pairs span less than a half-plane exactly when the
-    # angle between them is < pi, i.e. they are not opposite rays
+    # two nonzero 2D generators contain a line exactly when they are
+    # opposite rays: parallel (det 0) and pointing apart (dot < 0); parallel
+    # generators pointing the same way span a single ray, which is pointed
     rng = random.Random(1)
     for _ in range(40):
         a = (rng.randint(-5, 5), rng.randint(-5, 5))
@@ -132,12 +145,10 @@ def test_strongly_convex_matches_angular_check_2d():
         if a == (0, 0) or b == (0, 0):
             continue
         cone = Cone(2, (a, b))
-        angle = abs(math.atan2(_det2(a, b),
-                               a[0] * b[0] + a[1] * b[1]))
-        opens_less_than_half_plane = angle < math.pi - 1e-12 and _det2(a, b) != 0
         if len(cone.generators) < 2:
             continue  # duplicates collapse; skip
-        assert is_strongly_convex(cone) == opens_less_than_half_plane
+        opposite = _det2(a, b) == 0 and a[0] * b[0] + a[1] * b[1] < 0
+        assert is_strongly_convex(cone) == (not opposite)
 
 
 # --- duality --------------------------------------------------------------
@@ -251,6 +262,23 @@ def test_biduality_property(gens):
     assume(len(rational_rref(gens)[0]) == d)
     cone = Cone(d, gens)
     assert dual_cone(dual_cone(cone)).primitive_generators == cone.primitive_generators
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda d: st.tuples(
+    st.tuples(*[st.integers(-3, 3)] * d),
+    st.lists(st.tuples(*[st.integers(-3, 3)] * d), min_size=1, max_size=d + 3),
+    st.lists(st.integers(1, 3), min_size=d + 3, max_size=d + 3))))
+def test_strongly_convex_constructions(case):
+    # generators strictly inside the open half-space <u, .> > 0 give a
+    # pointed cone; adding minus a positive combination of them closes a line
+    u, gens, weights = case
+    gens = [g for g in gens if sum(a * b for a, b in zip(u, g)) > 0]
+    assume(gens)
+    d = len(u)
+    assert is_strongly_convex(Cone(d, gens))
+    negation = tuple(-sum(w * g[i] for w, g in zip(weights, gens)) for i in range(d))
+    assert not is_strongly_convex(Cone(d, gens + [negation]))
 
 
 # --- Laurent supports -----------------------------------------------------
