@@ -3,9 +3,13 @@
 A basis index x encodes the string x1 x2 ... xn with qubit 1 as the most
 significant bit, so |x1 x2 ... xn> sits at index sum_k x_k * 2^(n-k). The
 simulator, the partitions, the renderers and the moment polytope read it only
-through `qubit_mask`, `bit_at`, `pair_view`, `cube_edges` and `bitstring`.
+through `qubit_mask`, `bit_at`, `pair_view`, `cube_edges` and the bit-string
+codecs (`bitstring`/`bitstrings` and `index_of`/`indices_of`).
 """
 from __future__ import annotations
+
+import itertools
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -46,6 +50,29 @@ def bitstring(index: int, n_qubits: int) -> str:
     return format(index, f"0{n_qubits}b")
 
 
+def bitstrings(n_qubits: int) -> Iterator[str]:
+    """Every n-character bit string, lazily, in basis-index order."""
+    return map("".join, itertools.product("01", repeat=n_qubits))
+
+
 def index_of(bits: str) -> int:
     """Inverse of `bitstring`."""
     return int(bits, 2)
+
+
+def indices_of(bits: np.ndarray, n_qubits: int) -> np.ndarray:
+    """Basis index of each entry of a byte-string array, -1 where it is not n bits.
+
+    An entry is well formed when it is exactly `n_qubits` ASCII '0'/'1'
+    characters; give the array a width above n so that a longer one shows.
+    The index is built one bit column at a time, with no (rows, n) temporary.
+    """
+    raw = np.ascontiguousarray(bits).view(np.uint8).reshape(bits.size, bits.itemsize)
+    valid = ~raw[:, n_qubits:].any(axis=1)
+    index = np.zeros(bits.size, dtype=np.int64)
+    for column in raw[:, :n_qubits].T:
+        valid &= (column | 1) == ord("1")
+        index <<= 1
+        index += column & 1
+    index[~valid] = -1
+    return index

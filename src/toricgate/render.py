@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .bits import bitstring, cube_edges, qubit_mask
+from .bits import bitstring, bitstrings, cube_edges, qubit_mask
 from .phase_partition import PhasePartition, class_graph
 from .statevec import GatePlacement
 
@@ -168,7 +168,7 @@ def render_partition_dot(partition: PhasePartition) -> str:
     placement = partition.placement
     out = [f'graph "partition_n{n}_c{placement.control}_t{placement.target}" {{',
            '  node [shape=circle, style=filled, fontname="monospace"];']
-    labels = [bitstring(v, n) for v in range(1 << n)]
+    labels = list(bitstrings(n))
     for v, label in enumerate(labels):
         color = DEFAULT_PHI1_COLOR if v in partition.class_phi1 else DEFAULT_PHI2_COLOR
         out.append(f'  "{label}" [fillcolor="{color}"];')

@@ -11,16 +11,18 @@ input plus output: 512 MiB at the 24-qubit cap.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import MAX_QUBITS, bitstring, pair_view
+from .bits import MAX_QUBITS, bitstring, bitstrings, indices_of, pair_view
 from .spin_model import DiagonalTwoQubitGate
 
 _NORM_TOL = 1e-9
+_TEXT_BLOCK = 4096  # rows per formatting call: bounds the field tuple's memory
 _HEADER = re.compile(r"n=(\d+)$")
 
 
@@ -133,41 +135,61 @@ def extract_phase_classes(state: StateVector,
 
 
 def state_to_text(state: StateVector) -> str:
-    """Serialize as `n=<int>` then one `<bits> <re> <im>` line per basis index."""
-    lines = [f"n={state.n_qubits}"]
-    for index in range(state.amplitudes.size):
-        amp = state.amplitudes[index]
-        lines.append(f"{bitstring(index, state.n_qubits)} "
-                     f"{amp.real:.17g} {amp.imag:.17g}")
-    return "\n".join(lines) + "\n"
+    """Serialize as `n=<int>` then one `<bits> <re> <im>` line per basis index.
+
+    Lines end in a bare newline, come in index order, and print both parts
+    with `.17g`, so `state_from_text` reads back the same bits. Rows are
+    formatted `_TEXT_BLOCK` at a time, one C-level `%` per block.
+    """
+    amps = state.amplitudes
+    names = bitstrings(state.n_qubits)
+    parts = [f"n={state.n_qubits}\n"]
+    for start in range(0, amps.size, _TEXT_BLOCK):
+        block = amps[start:start + _TEXT_BLOCK]
+        fields = [None] * (3 * block.size)
+        fields[0::3] = itertools.islice(names, block.size)
+        fields[1::3] = block.real.tolist()
+        fields[2::3] = block.imag.tolist()
+        parts.append(("%s %.17g %.17g\n" * block.size) % tuple(fields))
+    return "".join(parts)
 
 
 def state_from_text(text: str) -> StateVector:
-    """Parse the `state_to_text` format; every basis index must appear exactly once."""
-    lines = [line.strip() for line in text.splitlines() if line.strip()]
+    """Parse the `state_to_text` format; every basis index must appear exactly once.
+
+    Lines may come in any order, blank lines are skipped, and any whitespace
+    separates the three fields. Each part is stored as parsed, so a `-0` keeps
+    its sign.
+    """
+    lines = list(filter(str.strip, text.splitlines()))
     if not lines:
         raise ValueError("empty state text")
-    header = _HEADER.match(lines[0])
+    first = lines.pop(0).strip()
+    header = _HEADER.match(first)
     if header is None:
-        raise ValueError(f"expected 'n=<int>' header, got {lines[0]!r}")
+        raise ValueError(f"expected 'n=<int>' header, got {first!r}")
     n = int(header.group(1))
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"qubit count must lie in 1..{MAX_QUBITS}")
     size = 1 << n
-    if len(lines) - 1 != size:
-        raise ValueError(f"expected {size} amplitude lines, got {len(lines) - 1}")
-    amps = np.zeros(size, dtype=complex)
-    seen: set[int] = set()
-    for line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValueError(f"malformed amplitude line {line!r}")
-        bits, re_part, im_part = parts
-        if len(bits) != n or set(bits) - {"0", "1"}:
-            raise ValueError(f"malformed bit string {bits!r}")
-        index = int(bits, 2)
-        if index in seen:
-            raise ValueError(f"duplicate basis index {bits!r}")
-        seen.add(index)
-        amps[index] = float(re_part) + 1j * float(im_part)
+    if len(lines) != size:
+        raise ValueError(f"expected {size} amplitude lines, got {len(lines)}")
+    try:
+        rows = np.loadtxt(lines, comments=None, dtype=[
+            ("bits", f"S{n + 1}"), ("re", float), ("im", float)])
+    except ValueError as exc:
+        wrong = next((line for line in lines if len(line.split()) != 3), None)
+        raise ValueError(f"malformed amplitude line {wrong.strip()!r}" if wrong is not None
+                         else f"malformed amplitude line: {exc}") from None
+    index = indices_of(rows["bits"], n)
+    malformed = np.flatnonzero(index < 0)
+    if malformed.size:
+        raise ValueError(f"malformed bit string {lines[malformed[0]].split()[0]!r}")
+    counts = np.bincount(index, minlength=size)
+    repeated = int(counts.argmax())
+    if counts[repeated] > 1:
+        raise ValueError(f"duplicate basis index {bitstring(repeated, n)!r}")
+    amps = np.empty(size, dtype=complex)
+    amps.real[index] = rows["re"]
+    amps.imag[index] = rows["im"]
     return StateVector(amps, _owned=True)

@@ -40,6 +40,16 @@ def random_state(rng, n):
     return amps / np.linalg.norm(amps)
 
 
+def reference_state_text(amps):
+    """The state file text written one line at a time, index by index."""
+    n = len(amps).bit_length() - 1
+    lines = [f"n={n}"]
+    for x, amp in enumerate(amps):
+        re, im = float(amp.real), float(amp.imag)
+        lines.append(f"{x:0{n}b} {re:.17g} {im:.17g}")
+    return "\n".join(lines) + "\n"
+
+
 def hypercube_edges(m):
     """Edges of Q_m as (low, high) pairs."""
     return {(v, v | (1 << b)) for v in range(1 << m)

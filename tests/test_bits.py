@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import hypercube_edges
-from toricgate.bits import bit_at, bitstring, cube_edges, pair_view, qubit_mask
+from toricgate.bits import (bit_at, bitstring, bitstrings, cube_edges, indices_of,
+                            pair_view, qubit_mask)
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
@@ -43,3 +44,19 @@ def test_pair_view_slices_by_the_two_bits():
                         if bitstring(x, n)[lo - 1] == str(i)
                         and bitstring(x, n)[hi - 1] == str(j)]
                 assert view[:, i, :, j, :].ravel().tolist() == want
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_bitstrings_and_indices_of_follow_the_index_order(n, seed):
+    names = list(bitstrings(n))
+    assert names == [format(x, f"0{n}b") for x in range(2 ** n)]
+    order = np.random.default_rng(seed).permutation(2 ** n)
+    column = np.array([names[x] for x in order], dtype=f"S{n + 1}")
+    assert indices_of(column, n).tolist() == order.tolist()
+
+
+def test_indices_of_marks_entries_that_are_not_n_bits():
+    column = np.array(["01", "0", "011", "0111", "2", "+1", "0 ", "0\x00", "10",
+                       "0\xb9".encode("latin-1"), b""], dtype="S3")
+    assert indices_of(column, 2).tolist() == [1, -1, -1, -1, -1, -1, -1, -1, 2, -1, -1]

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import dense_cphase_matrix, random_state, reference_cphase, xnor_class
 from toricgate.spin_model import DiagonalTwoQubitGate
@@ -118,6 +120,23 @@ def test_apply_disjoint_placements_commute():
     ab = apply_cphase(apply_cphase(s, g1, p1), g2, p2)
     ba = apply_cphase(apply_cphase(s, g2, p2), g1, p1)
     assert np.allclose(ab.amplitudes, ba.amplitudes, atol=1e-12)
+
+
+_angles = st.floats(-math.pi, math.pi)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.integers(4, 8).flatmap(lambda n: st.tuples(
+    st.just(n), st.permutations(range(1, n + 1)), st.integers(0, 2**32 - 1))),
+    _angles, _angles, _angles, _angles)
+def test_disjoint_gates_commute_property(case, a1, b1, a2, b2):
+    n, qubits, seed = case
+    s = StateVector(random_state(np.random.default_rng(seed), n))
+    g1, g2 = DiagonalTwoQubitGate.from_angles(a1, b1), DiagonalTwoQubitGate.from_angles(a2, b2)
+    p1, p2 = GatePlacement(*qubits[:2]), GatePlacement(*qubits[2:4])
+    ab = apply_cphase(apply_cphase(s, g1, p1), g2, p2)
+    ba = apply_cphase(apply_cphase(s, g2, p2), g1, p1)
+    assert np.max(np.abs(ab.amplitudes - ba.amplitudes)) <= 1e-15
 
 
 def test_apply_matches_kronecker_oracle_small():
