@@ -4,7 +4,9 @@ A basis index x encodes the string x1 x2 ... xn with qubit 1 as the most
 significant bit, so |x1 x2 ... xn> sits at index sum_k x_k * 2^(n-k). The
 simulator, the partitions, the renderers and the moment polytope read it only
 through `qubit_mask`, `bit_at`, `pair_view`, `cube_edges` and the bit-string
-codecs (`bitstring`/`bitstrings` and `index_of`/`indices_of`).
+codecs (`bitstring`/`bitstrings` and `index_of`/`indices_of`). The partitions
+count crossings on an agreement mask written through `pair_view`, with no
+edge list; only the renderers walk `cube_edges`.
 """
 from __future__ import annotations
 
@@ -56,8 +58,17 @@ def bitstrings(n_qubits: int) -> Iterator[str]:
 
 
 def index_of(bits: str) -> int:
-    """Inverse of `bitstring`."""
-    return int(bits, 2)
+    """Inverse of `bitstring`: the index of 1 to 63 ASCII '0'/'1' characters.
+
+    Anything else is a ValueError: signs, `0b` prefixes, `_` separators,
+    spaces, other digits and the empty string.
+    """
+    n = len(bits)
+    column = np.array([bits.encode("ascii", "replace")], dtype=f"S{n + 1}")
+    index = int(indices_of(column, n)[0]) if 0 < n < 64 else -1
+    if index < 0:
+        raise ValueError(f"not a bit string of 1 to 63 characters: {bits!r}")
+    return index
 
 
 def indices_of(bits: np.ndarray, n_qubits: int) -> np.ndarray:

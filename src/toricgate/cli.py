@@ -12,9 +12,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .phase_partition import (class_graph, intersection_summary,
-                              is_hypercube_isomorphic, partition_to_text,
-                              partition_vertices)
+from .phase_partition import (_class_arrays, _hypercube_match, intersection_summary,
+                              partition_to_text, partition_vertices)
 from .render import RenderSpec, render_partition_dot, render_partition_svg
 from .spin_model import (BerryPhaseResult, DegenerateDrive, DiagonalTwoQubitGate,
                          PhysicalParams, berry_phases, cphase_gate)
@@ -126,11 +125,13 @@ def _cmd_concurrence(args: argparse.Namespace) -> int:
 
 
 def _cmd_partition(args: argparse.Namespace) -> int:
-    partition = partition_vertices(args.n, GatePlacement(args.control, args.target))
+    placement = GatePlacement(args.control, args.target)
+    partition = partition_vertices(args.n, placement)
     sys.stdout.write(partition_to_text(partition))
     if args.check_hypercube:
         for which in ("phi1", "phi2"):
-            match = is_hypercube_isomorphic(class_graph(partition, which))
+            # the class graph's check on its arrays, with no edge tuples built
+            match = _hypercube_match(args.n, placement.target, *_class_arrays(partition, which))
             verdict = "yes" if match.is_isomorphic else f"no ({match.failure})"
             print(f"{which} isomorphic to Q{match.dimension}: {verdict}")
         summary = intersection_summary(partition)

@@ -8,12 +8,13 @@ ambient cube edges that toggle one of the two distinguished bits.
 """
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import MAX_QUBITS, bitstring, cube_edges, pair_view, qubit_mask
+from .bits import MAX_QUBITS, bitstrings, pair_view, qubit_mask
 from .statevec import GatePlacement, _check_placement
 
 
@@ -22,7 +23,10 @@ class PhasePartition:
     """The two phase classes induced by one gate placement.
 
     Vertices are basis indices with qubit 1 as the most significant bit,
-    mirroring the state-vector convention.
+    mirroring the state-vector convention. `class_phi1` must be the indices
+    whose control and target bits agree and `class_phi2` the rest; the
+    agreement mask behind that check is kept as the read-only `_agree`, the
+    one source the counts, texts and drawings are made from.
     """
 
     n_qubits: int
@@ -40,6 +44,10 @@ class PhasePartition:
         all_members = self.class_phi1 | self.class_phi2
         if min(all_members) < 0 or max(all_members) >= 1 << n:
             raise ValueError("class members must be n-bit indices")
+        agree = _agreement_mask(n, self.placement)
+        if not agree[np.fromiter(self.class_phi1, dtype=np.int64, count=half)].all():
+            raise ValueError("phase classes must be the agreement sets of the placement")
+        object.__setattr__(self, "_agree", agree)
 
 
 @dataclass(frozen=True)
@@ -58,17 +66,17 @@ class ClassGraph:
     def __post_init__(self) -> None:
         if self.phase_class not in ("phi1", "phi2"):
             raise ValueError("phase_class must be 'phi1' or 'phi2'")
-        degree = {v: 0 for v in self.vertices}
-        try:
-            for u, v in self.edges:
-                if u >= v:
-                    raise ValueError("edges must be (low, high) pairs")
-                degree[u] += 1
-                degree[v] += 1
-        except KeyError as exc:
-            raise ValueError(f"edge endpoint {exc} is not in the class") from None
+        verts = np.unique(np.array(self.vertices, dtype=np.int64))
+        ends = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+        unordered, foreign = ends[:, 0] >= ends[:, 1], ~np.isin(ends, verts)
+        # the first bad edge decides the message: its order, then its ends
+        for i in np.flatnonzero(unordered | foreign.any(axis=1))[:1]:
+            if unordered[i]:
+                raise ValueError("edges must be (low, high) pairs")
+            raise ValueError(f"edge endpoint {ends[i][foreign[i]][0]} is not in the class")
         want = self.n_qubits - 1
-        if any(d != want for d in degree.values()):
+        degree = np.bincount(np.searchsorted(verts, ends).ravel(), minlength=verts.size)
+        if (degree != want).any():
             raise ValueError(f"every vertex must have degree {want}")
 
     def diagonal_mask(self) -> int:
@@ -100,35 +108,49 @@ class IntersectionSummary:
     ambient_edges: int
 
 
-def partition_vertices(n_qubits: int, placement: GatePlacement) -> PhasePartition:
-    """Split the n-bit strings by agreement of the control and target bits."""
+def _agreement_mask(n_qubits: int, placement: GatePlacement) -> np.ndarray:
+    """Read-only boolean array over the 2^n indices: control and target bits agree."""
     if not 2 <= n_qubits <= MAX_QUBITS:
         raise ValueError(f"n_qubits must lie in 2..{MAX_QUBITS}")
     _check_placement(placement, n_qubits)
     agree = np.zeros(1 << n_qubits, dtype=bool)
     view = pair_view(agree, placement.control, placement.target)
     view[:, 0, :, 0, :] = view[:, 1, :, 1, :] = True
+    agree.flags.writeable = False
+    return agree
+
+
+def partition_vertices(n_qubits: int, placement: GatePlacement) -> PhasePartition:
+    """Split the n-bit strings by agreement of the control and target bits."""
+    agree = _agreement_mask(n_qubits, placement)
     phi1, phi2 = np.flatnonzero(agree).tolist(), np.flatnonzero(~agree).tolist()
     return PhasePartition(n_qubits, placement, frozenset(phi1), frozenset(phi2))
+
+
+def _class_arrays(partition: PhasePartition,
+                  which: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One class as arrays: its sorted vertices, and the low and high ends of
+    its edges in ascending (low, high) order."""
+    if which not in ("phi1", "phi2"):
+        raise ValueError("which must be 'phi1' or 'phi2'")
+    n, placement = partition.n_qubits, partition.placement
+    agree = partition._agree
+    verts = np.flatnonzero(agree if which == "phi1" else ~agree)
+    diagonal = qubit_mask(placement.control, n) | qubit_mask(placement.target, n)
+    moves = [qubit_mask(q, n) for q in range(1, n + 1) if not qubit_mask(q, n) & diagonal]
+    # every move keeps the placed bits' agreement, so stays in the class;
+    # each edge is kept once, from its low end, and rows come out sorted
+    ends = np.sort(verts[:, None] ^ np.array(moves + [diagonal]), axis=1)
+    low_end = verts[:, None] < ends
+    return verts, np.broadcast_to(verts[:, None], ends.shape)[low_end], ends[low_end]
 
 
 def class_graph(partition: PhasePartition, which: str) -> ClassGraph:
     """Adjacency on one class: flip one bit outside the placement, or flip
     control and target together (the diagonal move)."""
-    if which not in ("phi1", "phi2"):
-        raise ValueError("which must be 'phi1' or 'phi2'")
-    members = partition.class_phi1 if which == "phi1" else partition.class_phi2
-    n, placement = partition.n_qubits, partition.placement
-    diagonal = qubit_mask(placement.control, n) | qubit_mask(placement.target, n)
-    moves = [qubit_mask(q, n) for q in range(1, n + 1) if not qubit_mask(q, n) & diagonal]
-    verts = np.sort(np.fromiter(members, dtype=np.int64, count=len(members)))
-    # every move keeps the placed bits' agreement, so stays in the class;
-    # each edge is kept once, from its low end, and rows come out sorted
-    ends = np.sort(verts[:, None] ^ np.array(moves + [diagonal]), axis=1)
-    low_end = verts[:, None] < ends
-    lows = np.broadcast_to(verts[:, None], ends.shape)[low_end]
-    return ClassGraph(n, placement, which, tuple(verts.tolist()),
-                      tuple(zip(lows.tolist(), ends[low_end].tolist())))
+    verts, lows, highs = _class_arrays(partition, which)
+    return ClassGraph(partition.n_qubits, partition.placement, which, tuple(verts.tolist()),
+                      tuple(zip(lows.tolist(), highs.tolist())))
 
 
 def drop_target_bit(vertex: int | np.ndarray, n_qubits: int, target: int) -> int | np.ndarray:
@@ -144,21 +166,30 @@ def is_hypercube_isomorphic(graph: ClassGraph) -> HypercubeMatch:
     edge set exactly onto the pairs at Hamming distance one. On failure the
     returned match carries a short certificate instead of a witness.
     """
-    n, target = graph.n_qubits, graph.placement.target
+    verts = np.unique(np.array(graph.vertices, dtype=np.int64))
+    ends = np.array(graph.edges, dtype=np.int64).reshape(-1, 2)
+    return _hypercube_match(graph.n_qubits, graph.placement.target, verts, ends[:, 0], ends[:, 1])
+
+
+def _hypercube_match(n: int, target: int, verts: np.ndarray, lows: np.ndarray,
+                     highs: np.ndarray) -> HypercubeMatch:
+    """`is_hypercube_isomorphic` on arrays: distinct sorted vertices, and the
+    two ends of every edge, each of them a vertex."""
     m = n - 1
-    verts = np.array(sorted(set(graph.vertices)), dtype=np.int64)
     images = drop_target_bit(verts, n, target)
     witness = tuple(zip(verts.tolist(), images.tolist()))
-    if set(images.tolist()) != set(range(1 << m)):
+    if (images.size != 1 << m or images.min() < 0 or images.max() >= 1 << m
+            or np.bincount(images, minlength=1 << m).min() != 1):
         return HypercubeMatch(False, m, witness,
                               "relabeling is not a bijection onto the (n-1)-bit strings")
-    ends = np.array(graph.edges, dtype=np.int64).reshape(-1, 2)
-    # distinct (low, high) image pairs as sorted integers (np.unique hashes, ~20x slower)
-    keys = np.sort(np.sort(drop_target_bit(ends, n, target), axis=1) @ [1 << m, 1])
-    mapped_keys = keys[np.diff(keys, prepend=-1) != 0]
-    cube_keys = cube_edges(m) @ [1 << m, 1]
-    extra = np.setdiff1d(mapped_keys, cube_keys, assume_unique=True).size
-    missing = np.setdiff1d(cube_keys, mapped_keys, assume_unique=True).size
+    a, b = drop_target_bit(lows, n, target), drop_target_bit(highs, n, target)
+    # distinct image pairs as sorted integers (np.unique hashes, ~20x slower)
+    keys = np.sort(np.minimum(a, b) << m | np.maximum(a, b))
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    # a pair is a Q_m edge iff its ends differ in exactly one bit
+    flip = (keys >> m) ^ (keys & ((1 << m) - 1))
+    present = int(np.count_nonzero((flip != 0) & ((flip & (flip - 1)) == 0)))
+    extra, missing = keys.size - present, (m << (m - 1)) - present
     if extra or missing:
         return HypercubeMatch(
             False, m, witness,
@@ -188,16 +219,19 @@ def is_connected(graph: ClassGraph) -> bool:
 def intersection_summary(partition: PhasePartition) -> IntersectionSummary:
     """Count shared vertices and the ambient cube edges that change class.
 
-    Crossings are counted over every edge of `cube_edges`; for every
-    placement the classes share no vertex and the crossing edges are
-    exactly those flipping the control or the target bit, 2^n of them.
+    Crossings are counted on the agreement mask one flip direction at a
+    time, with no edge list: the edges flipping qubit q pair the two halves
+    of each block of 2^(n-q+1) indices. For every placement the classes
+    share no vertex and the crossing edges are exactly those flipping the
+    control or the target bit, 2^n of the n * 2^(n-1) edges.
     """
-    phi1, phi2 = partition.class_phi1, partition.class_phi2
-    in_phi1 = np.zeros(1 << partition.n_qubits, dtype=bool)
-    in_phi1[list(phi1)] = True
-    edges = cube_edges(partition.n_qubits)
-    crossing = int(np.count_nonzero(in_phi1[edges[:, 0]] != in_phi1[edges[:, 1]]))
-    return IntersectionSummary(len(phi1 & phi2), crossing, len(edges))
+    n, agree = partition.n_qubits, partition._agree
+    crossing = 0
+    for q in range(1, n + 1):
+        halves = agree.reshape(1 << (q - 1), 2, -1)
+        crossing += int(np.count_nonzero(halves[:, 0] != halves[:, 1]))
+    shared = len(partition.class_phi1 & partition.class_phi2)
+    return IntersectionSummary(shared, crossing, n << (n - 1))
 
 
 def partition_to_text(partition: PhasePartition) -> str:
@@ -205,7 +239,6 @@ def partition_to_text(partition: PhasePartition) -> str:
     n = partition.n_qubits
     placement = partition.placement
     lines = [f"n={n} control={placement.control} target={placement.target}"]
-    for name, members in (("phi1", partition.class_phi1),
-                          ("phi2", partition.class_phi2)):
-        lines.append(f"{name}: " + " ".join(bitstring(v, n) for v in sorted(members)))
+    for name, members in (("phi1", partition._agree), ("phi2", ~partition._agree)):
+        lines.append(f"{name}: " + " ".join(itertools.compress(bitstrings(n), members.tolist())))
     return "\n".join(lines) + "\n"

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .bits import bitstring, bitstrings, cube_edges, qubit_mask
 from .phase_partition import PhasePartition, class_graph
 from .statevec import GatePlacement
@@ -20,6 +22,9 @@ LABEL_SIZE = 14
 DEFAULT_PHI1_COLOR = "#1f77b4"
 DEFAULT_PHI2_COLOR = "#d62728"
 DEFAULT_AMBIENT_COLOR = "#999999"
+# cube_edges rows formatted per block: numpy row iteration is slow, and one
+# whole-table tolist() would hold every edge as Python ints at once
+EDGE_BLOCK = 4096
 
 PROJECTIONS = {"square": 2, "cube-isometric": 3, "tesseract-nested": 4}
 
@@ -145,8 +150,8 @@ def render_partition_svg(partition: PhasePartition, spec: RenderSpec) -> str:
                        f'x2="{_fmt(x2)}" y2="{_fmt(y2)}"{dash}/>')
         out.append('  </g>')
     out.append('  <g stroke="none">')
-    for v in range(1 << n):
-        color = spec.color_phi1 if v in partition.class_phi1 else spec.color_phi2
+    for v, agree in enumerate(partition._agree.tolist()):
+        color = spec.color_phi1 if agree else spec.color_phi2
         x, y = points[v]
         out.append(f'    <circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="10" fill="{color}"/>')
     out.append('  </g>')
@@ -169,14 +174,17 @@ def render_partition_dot(partition: PhasePartition) -> str:
     out = [f'graph "partition_n{n}_c{placement.control}_t{placement.target}" {{',
            '  node [shape=circle, style=filled, fontname="monospace"];']
     labels = list(bitstrings(n))
-    for v, label in enumerate(labels):
-        color = DEFAULT_PHI1_COLOR if v in partition.class_phi1 else DEFAULT_PHI2_COLOR
-        out.append(f'  "{label}" [fillcolor="{color}"];')
-    out += [f'  "{labels[u]}" -- "{labels[v]}";' for u, v in cube_edges(n)]
+    agree = partition._agree
+    out += [f'  "{label}" [fillcolor="{DEFAULT_PHI1_COLOR if a else DEFAULT_PHI2_COLOR}"];'
+            for label, a in zip(labels, agree.tolist())]
+    edges = cube_edges(n)
+    for start in range(0, len(edges), EDGE_BLOCK):
+        block = edges[start:start + EDGE_BLOCK]
+        out += [f'  "{labels[u]}" -- "{labels[v]}";'
+                for u, v in zip(block[:, 0].tolist(), block[:, 1].tolist())]
     diagonal = qubit_mask(placement.control, n) | qubit_mask(placement.target, n)
-    for members, color in ((partition.class_phi1, DEFAULT_PHI1_COLOR),
-                           (partition.class_phi2, DEFAULT_PHI2_COLOR)):
+    for members, color in ((agree, DEFAULT_PHI1_COLOR), (~agree, DEFAULT_PHI2_COLOR)):
         out += [f'  "{labels[u]}" -- "{labels[u ^ diagonal]}" [style=dashed, color="{color}"];'
-                for u in sorted(members) if u < u ^ diagonal]
+                for u in np.flatnonzero(members).tolist() if u < u ^ diagonal]
     out.append('}')
     return "\n".join(out) + "\n"
