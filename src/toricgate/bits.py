@@ -11,7 +11,7 @@ edge list; only the renderers walk `cube_edges`.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -52,9 +52,11 @@ def bitstring(index: int, n_qubits: int) -> str:
     return format(index, f"0{n_qubits}b")
 
 
-def bitstrings(n_qubits: int) -> Iterator[str]:
-    """Every n-character bit string, lazily, in basis-index order."""
-    return map("".join, itertools.product("01", repeat=n_qubits))
+def bitstrings(n_qubits: int, where: Iterable[bool] | None = None) -> Iterator[str]:
+    """Every n-character bit string, lazily, in basis-index order; given `where`,
+    one flag per index, only those whose flag is true (the rest are never joined)."""
+    strings = itertools.product("01", repeat=n_qubits)
+    return map("".join, strings if where is None else itertools.compress(strings, where))
 
 
 def index_of(bits: str) -> int:

@@ -8,7 +8,6 @@ ambient cube edges that toggle one of the two distinguished bits.
 """
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 
@@ -173,8 +172,8 @@ def is_hypercube_isomorphic(graph: ClassGraph) -> HypercubeMatch:
 
 def _hypercube_match(n: int, target: int, verts: np.ndarray, lows: np.ndarray,
                      highs: np.ndarray) -> HypercubeMatch:
-    """`is_hypercube_isomorphic` on arrays: distinct sorted vertices, and the
-    two ends of every edge, each of them a vertex."""
+    """`is_hypercube_isomorphic` on arrays: the distinct vertices in ascending
+    order, and the low and high ends of every edge, both of them vertices."""
     m = n - 1
     images = drop_target_bit(verts, n, target)
     witness = tuple(zip(verts.tolist(), images.tolist()))
@@ -183,12 +182,14 @@ def _hypercube_match(n: int, target: int, verts: np.ndarray, lows: np.ndarray,
         return HypercubeMatch(False, m, witness,
                               "relabeling is not a bijection onto the (n-1)-bit strings")
     a, b = drop_target_bit(lows, n, target), drop_target_bit(highs, n, target)
-    # distinct image pairs as sorted integers (np.unique hashes, ~20x slower)
-    keys = np.sort(np.minimum(a, b) << m | np.maximum(a, b))
+    # distinct image pairs as sorted integers (np.unique hashes, ~20x slower); the
+    # stable sort (timsort) uses the long ascending runs the relabeling leaves
+    keys = np.sort(np.minimum(a, b) << m | np.maximum(a, b), kind="stable")
     keys = keys[np.diff(keys, prepend=-1) != 0]
-    # a pair is a Q_m edge iff its ends differ in exactly one bit
+    # a pair is a Q_m edge iff its ends differ in exactly one bit; they differ
+    # in some bit, as an edge joins two vertices and the relabeling is one-to-one
     flip = (keys >> m) ^ (keys & ((1 << m) - 1))
-    present = int(np.count_nonzero((flip != 0) & ((flip & (flip - 1)) == 0)))
+    present = int(np.count_nonzero((flip & (flip - 1)) == 0))
     extra, missing = keys.size - present, (m << (m - 1)) - present
     if extra or missing:
         return HypercubeMatch(
@@ -240,5 +241,5 @@ def partition_to_text(partition: PhasePartition) -> str:
     placement = partition.placement
     lines = [f"n={n} control={placement.control} target={placement.target}"]
     for name, members in (("phi1", partition._agree), ("phi2", ~partition._agree)):
-        lines.append(f"{name}: " + " ".join(itertools.compress(bitstrings(n), members.tolist())))
+        lines.append(f"{name}: " + " ".join(bitstrings(n, members.tolist())))
     return "\n".join(lines) + "\n"

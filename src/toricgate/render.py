@@ -24,7 +24,7 @@ DEFAULT_PHI2_COLOR = "#d62728"
 DEFAULT_AMBIENT_COLOR = "#999999"
 # cube_edges rows formatted per block: numpy row iteration is slow, and one
 # whole-table tolist() would hold every edge as Python ints at once
-EDGE_BLOCK = 4096
+_EDGE_BLOCK = 4096
 
 PROJECTIONS = {"square": 2, "cube-isometric": 3, "tesseract-nested": 4}
 
@@ -178,8 +178,8 @@ def render_partition_dot(partition: PhasePartition) -> str:
     out += [f'  "{label}" [fillcolor="{DEFAULT_PHI1_COLOR if a else DEFAULT_PHI2_COLOR}"];'
             for label, a in zip(labels, agree.tolist())]
     edges = cube_edges(n)
-    for start in range(0, len(edges), EDGE_BLOCK):
-        block = edges[start:start + EDGE_BLOCK]
+    for start in range(0, len(edges), _EDGE_BLOCK):
+        block = edges[start:start + _EDGE_BLOCK]
         out += [f'  "{labels[u]}" -- "{labels[v]}";'
                 for u, v in zip(block[:, 0].tolist(), block[:, 1].tolist())]
     diagonal = qubit_mask(placement.control, n) | qubit_mask(placement.target, n)

@@ -1,12 +1,13 @@
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import hypercube_edges
-from toricgate.bits import (bit_at, bitstring, bitstrings, cube_edges, indices_of,
-                            pair_view, qubit_mask)
+from toricgate.bits import (bit_at, bitstring, bitstrings, cube_edges, index_of,
+                            indices_of, pair_view, qubit_mask)
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
@@ -54,9 +55,24 @@ def test_bitstrings_and_indices_of_follow_the_index_order(n, seed):
     order = np.random.default_rng(seed).permutation(2 ** n)
     column = np.array([names[x] for x in order], dtype=f"S{n + 1}")
     assert indices_of(column, n).tolist() == order.tolist()
+    keep = np.random.default_rng(seed).random(2 ** n) < 0.5
+    assert list(bitstrings(n, keep.tolist())) == [s for s, k in zip(names, keep) if k]
 
 
 def test_indices_of_marks_entries_that_are_not_n_bits():
     column = np.array(["01", "0", "011", "0111", "2", "+1", "0 ", "0\x00", "10",
                        "0\xb9".encode("latin-1"), b""], dtype="S3")
     assert indices_of(column, 2).tolist() == [1, -1, -1, -1, -1, -1, -1, -1, 2, -1, -1]
+
+
+def test_index_of_inverts_bitstring():
+    for n in range(1, 13):
+        assert [index_of(bitstring(x, n)) for x in range(2 ** n)] == list(range(2 ** n))
+    assert index_of("1" * 63) == 2 ** 63 - 1
+
+
+@pytest.mark.parametrize("text", ["-1", "0b11", " 1_0 ", "\u0661", "", "01 ", "2",
+                                  "0\x00", "1" * 64])
+def test_index_of_rejects_what_bitstring_never_writes(text):
+    with pytest.raises(ValueError, match="not a bit string"):
+        index_of(text)
