@@ -56,6 +56,26 @@ def hypercube_edges(m):
             for b in range(m) if not v & (1 << b)}
 
 
+def cube_match_oracle(n, target, vertices, edges):
+    """Expected (is_isomorphic, failure) of matching a class graph on n-bit
+    indices against Q_(n-1): relabel each vertex by deleting the target
+    character of its bit string, then compare edge sets."""
+    m = n - 1
+
+    def relabel(v):
+        s = format(v, f"0{n}b")
+        return int(s[:target - 1] + s[target:], 2)
+
+    if sorted(relabel(v) for v in set(vertices)) != list(range(2 ** m)):
+        return False, "relabeling is not a bijection onto the (n-1)-bit strings"
+    mapped = {tuple(sorted((relabel(u), relabel(v)))) for u, v in edges}
+    cube = hypercube_edges(m)
+    extra, missing = len(mapped - cube), len(cube - mapped)
+    if extra or missing:
+        return False, f"edge sets differ after relabeling: {extra} extra, {missing} missing"
+    return True, None
+
+
 def xnor_class(n, control, target, agree):
     """String-indexing oracle for the phase classes."""
     out = set()

@@ -1,11 +1,12 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import hypercube_edges, xnor_class
+from helpers import cube_match_oracle, hypercube_edges, xnor_class
 from toricgate.bits import bitstring
 from toricgate.phase_partition import (ClassGraph, PhasePartition, class_graph,
                                        drop_target_bit, intersection_summary,
@@ -100,6 +101,20 @@ def test_class_sets_validated():
         PhasePartition(2, GatePlacement(1, 2), frozenset({0, 3}), frozenset({0, 1}))
 
 
+def test_partition_classes_must_be_the_agreement_sets():
+    placement = GatePlacement(1, 2)
+    p = partition_vertices(3, placement)
+    agree, differ = p.class_phi1, p.class_phi2
+    other = partition_vertices(3, GatePlacement(2, 3))
+    # right sizes, disjoint, in range: split on qubit 1 alone, the classes
+    # swapped, and another placement's classes
+    for phi1, phi2 in [(frozenset(range(4)), frozenset(range(4, 8))), (differ, agree),
+                       (other.class_phi1, other.class_phi2)]:
+        with pytest.raises(ValueError, match="agreement sets"):
+            PhasePartition(3, placement, phi1, phi2)
+    assert PhasePartition(3, placement, agree, differ) == p
+
+
 def test_class_graph_n2():
     p = partition_vertices(2, GatePlacement(1, 2))
     g = class_graph(p, "phi1")
@@ -181,6 +196,18 @@ def test_hypercube_match_detects_tampering():
     assert match.failure is not None
 
 
+def test_hypercube_match_needs_a_bijection_not_a_cover():
+    # every n-bit vertex with the flips of the non-target bits: (n-1)-regular,
+    # and every image edge is a Q_(n-1) edge, but each image is hit twice
+    n, target = 4, 3
+    flips = [1 << b for b in range(n) if b != n - target]
+    edges = tuple((v, v | f) for v in range(2 ** n) for f in flips if not v & f)
+    g = ClassGraph(n, GatePlacement(1, target), "phi1", tuple(range(2 ** n)), edges)
+    match = is_hypercube_isomorphic(g)
+    assert (match.is_isomorphic, match.failure) == cube_match_oracle(n, target, g.vertices, edges)
+    assert match.failure == "relabeling is not a bijection onto the (n-1)-bit strings"
+
+
 def test_class_graph_degree_validated():
     with pytest.raises(ValueError):
         ClassGraph(3, GatePlacement(1, 2), "phi1",
@@ -224,6 +251,19 @@ def test_crossing_edges_flip_control_or_target():
             u = v | (1 << b)
             crosses = (v in p.class_phi1) != (u in p.class_phi1)
             assert crosses == ((1 << b) in placed)
+
+
+def test_intersection_summary_builds_no_edge_table():
+    # the n = 20 cube's (E, 2) edge table alone is 160 MiB
+    p = partition_vertices(20, GatePlacement(3, 17))
+    tracemalloc.start()
+    try:
+        summary = intersection_summary(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (summary.crossing_edges, summary.ambient_edges) == (2 ** 20, 20 * 2 ** 19)
+    assert peak <= 16 * 2 ** 20
 
 
 def test_partition_to_text():
@@ -284,3 +324,35 @@ def test_crossing_edges_are_the_placed_flips(case):
     assert summary.crossing_edges == crossing == 2 ** n
     assert summary.shared_vertices == 0
     assert summary.ambient_edges == len(hypercube_edges(n))
+
+
+_small_placements = st.integers(2, 10).flatmap(
+    lambda n: st.tuples(st.just(n), st.permutations(range(1, n + 1)).map(lambda q: q[:2])))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_small_placements, st.sampled_from(("phi1", "phi2")), st.integers(0, 3),
+       st.booleans(), st.randoms(use_true_random=False))
+def test_hypercube_match_agrees_with_the_oracle_on_tampered_classes(
+        case, which, switches, collide, rnd):
+    n, (control, target) = case
+    placement = GatePlacement(control, target)
+    g = class_graph(partition_vertices(n, placement), which)
+    vertices, edges = list(g.vertices), list(g.edges)
+    for _ in range(switches if len(edges) > 1 else 0):
+        # (a, b), (c, d) -> (a, d), (c, b) keeps every degree
+        i, j = rnd.sample(range(len(edges)), 2)
+        (a, b), (c, d) = edges[i], edges[j][::rnd.choice((1, -1))]
+        if a != d and c != b:
+            edges[i], edges[j] = (min(a, d), max(a, d)), (min(c, b), max(c, b))
+    if collide:
+        # put u's twin across the target bit in place of v: same degrees, but
+        # two vertices share an image and v's image is left out
+        v, u = rnd.sample(vertices, 2)
+        w = u ^ (1 << (n - target))
+        vertices[vertices.index(v)] = w
+        edges = [tuple(sorted(w if x == v else x for x in e)) for e in edges]
+    graph = ClassGraph(n, placement, which, tuple(vertices), tuple(edges))
+    match = is_hypercube_isomorphic(graph)
+    assert match.dimension == n - 1
+    assert (match.is_isomorphic, match.failure) == cube_match_oracle(n, target, vertices, edges)
