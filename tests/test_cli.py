@@ -14,6 +14,8 @@ from toricgate.cli import main
 from toricgate.phase_partition import partition_to_text, partition_vertices
 from toricgate.render import RenderSpec, render_partition_dot, render_partition_svg
 from toricgate.statevec import GatePlacement, state_from_text, state_to_text, uniform_superposition
+from toricgate.toric_geometry import (MAX_FACTORS, fan_to_text, moment_polytope,
+                                      polytope_to_text, product_p1_charts, product_p1_fan)
 
 
 def invoke(args):
@@ -208,6 +210,27 @@ def test_fan_output():
         "ray 1 0\nray 0 1\nray -1 0\nray 0 -1\n"
         "cone 0 1\ncone 2 1\ncone 0 3\ncone 2 3\n"
         "vertex 0 0\nvertex 0 1\nvertex 1 0\nvertex 1 1\n")
+
+
+# SHA-256 of `fan --n MAX_FACTORS` stdout (11 273 367 bytes), recorded before
+# the fan was validated once
+FAN_16_DIGEST = "6dbe34b0d2c45c9d0b18cbed713f0714bd6e4c423edec9f783ffc646ef0b0a4e"
+
+
+def test_fan_max_factors_digest():
+    code, out, _ = invoke(["fan", "--n", str(MAX_FACTORS)])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FAN_16_DIGEST
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_fan_output_is_charts_fan_and_polytope_text(n):
+    code, out, _ = invoke(["fan", "--n", str(n)])
+    assert code == 0
+    charts = "".join("chart " + " ".join(c.tokens()) + "\n" for c in product_p1_charts(n))
+    fan_body = fan_to_text(product_p1_fan(n)).split("\n", 1)[1]
+    polytope_body = polytope_to_text(moment_polytope(n)).split("\n", 1)[1]
+    assert out == f"dim={n}\n" + charts + fan_body + polytope_body
 
 
 def test_fan_range_is_domain_error():

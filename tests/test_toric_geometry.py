@@ -420,3 +420,135 @@ def test_fan_to_text_n2():
 def test_polytope_to_text_n2():
     assert polytope_to_text(moment_polytope(2)) == (
         "dim=2\nvertex 0 0\nvertex 0 1\nvertex 1 0\nvertex 1 1\n")
+
+
+# --- the fan against its public construction, and its text -----------------
+
+def _axis_rays(n):
+    """+e_1..+e_n, then -e_1..-e_n."""
+    return tuple(tuple(s if i == k else 0 for i in range(n))
+                 for s in (1, -1) for k in range(n))
+
+
+def _sign_order(n):
+    """Sign patterns by number of inverted slots, then by the inverted slots
+    in lexicographic order."""
+    return sorted(itertools.product((1, -1), repeat=n),
+                  key=lambda s: (s.count(-1), [k for k in range(n) if s[k] == -1]))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_product_fan_matches_public_construction(n):
+    built = product_p1_fan(n)
+    public = Fan(n, _axis_rays(n),
+                 tuple(orthant_cone(c.signs) for c in product_p1_charts(n)))
+    assert built.dimension == public.dimension == n
+    assert built.rays == public.rays == _axis_rays(n)
+    for got, want in zip(built.maximal_cones, public.maximal_cones, strict=True):
+        assert type(got) is Cone and type(want) is Cone
+        assert got.dimension == n
+        assert got.generators == want.generators
+        assert Cone(n, got.generators) == got
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_fan_and_polytope_text_bytes(n):
+    rays = _axis_rays(n)
+    fan_text = "".join([f"dim={n}\n"]
+                       + ["ray " + " ".join(map(str, r)) + "\n" for r in rays]
+                       + ["cone " + " ".join(str(k if s == 1 else n + k)
+                                             for k, s in enumerate(signs)) + "\n"
+                          for signs in _sign_order(n)])
+    polytope_text = f"dim={n}\n" + "".join(
+        "vertex " + " ".join(format(x, f"0{n}b")) + "\n" for x in range(1 << n))
+    assert fan_to_text(product_p1_fan(n)) == fan_text
+    assert polytope_to_text(moment_polytope(n)) == polytope_text
+
+
+# --- Fan rejections: (dimension, rays, cone generator tuples, message) ------
+
+_SQUARE = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+FAN_REJECTIONS = {
+    "generator is not a ray": (2, _SQUARE, [((1, 0), (1, 1))],
+                               "maximal cone generators must be rays of the fan"),
+    "not a ray before dependent": (2, _SQUARE, [((1, 0), (2, 0))],
+                                   "maximal cone generators must be rays of the fan"),
+    "duplicate in another order": (2, _SQUARE, [((1, 0), (0, 1)), ((-1, 0), (0, 1)),
+                                                ((0, 1), (1, 0))],
+                                   "maximal cones must be pairwise distinct"),
+    "one generator": (2, _SQUARE, [((1, 0),)],
+                      "maximal cones must have one generator per dimension"),
+    "three generators": (2, _SQUARE, [((1, 0), (0, 1), (-1, 0))],
+                         "maximal cones must have one generator per dimension"),
+    "count before rays": (2, _SQUARE, [((5, 5),)],
+                          "maximal cones must have one generator per dimension"),
+    "dimension mismatch": (2, _SQUARE, [((1, 0, 0), (0, 1, 0))],
+                           "maximal cone dimension mismatch"),
+    "dimension before count": (2, _SQUARE, [((1, 0, 0),)],
+                               "maximal cone dimension mismatch"),
+    "zero ray": (1, ((0,), (1,)), [((1,),)], "rays must be nonzero"),
+    "repeated rays": (2, ((1, 0), (0, 1), (1, 0)), [((1, 0), (0, 1))],
+                      "rays must be distinct"),
+    "repeated zero rays": (2, ((0, 0), (0, 0)), [], "rays must be distinct"),
+    "bool coordinate": (2, ((1, 0), (True, 0)), [],
+                        "lattice coordinates must be exact integers"),
+    "float coordinate": (2, ((1.0, 0), (0, 1)), [],
+                         "lattice coordinates must be exact integers"),
+    "short ray": (2, ((1, 0), (1,)), [], "expected a vector of length 2"),
+    "opposite axis rays": (2, _SQUARE, [((1, 0), (-1, 0))],
+                           "maximal cones must be simplicial"),
+    "one axis twice": (2, ((1, 0), (2, 0), (0, 1)), [((1, 0), (2, 0))],
+                       "maximal cones must be simplicial"),
+    "dependent non-axis rays": (2, ((1, 1), (2, 2)), [((1, 1), (2, 2))],
+                                "maximal cones must be simplicial"),
+    "dependent before duplicate": (2, _SQUARE, [((1, 0), (0, 1)), ((0, 1), (1, 0)),
+                                                ((0, 1), (0, -1))],
+                                   "maximal cones must be pairwise distinct"),
+    "dependent in 3d": (3, ((1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)),
+                        [((1, 0, 0), (0, 1, 0), (1, 1, 0))],
+                        "maximal cones must be simplicial"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAN_REJECTIONS))
+def test_fan_rejections(case):
+    dimension, rays, cones, message = FAN_REJECTIONS[case]
+    built = tuple(Cone(len(gens[0]), gens) for gens in cones)
+    with pytest.raises(ValueError, match=f"^{message}"):
+        Fan(dimension, rays, built)
+
+
+def test_fan_accepts_independent_non_axis_rays():
+    fan = Fan(2, ((1, 1), (1, -1)), (Cone(2, ((1, 1), (1, -1))),))
+    assert fan.rays == ((1, 1), (1, -1))
+    assert fan.maximal_cones[0].generators == ((1, 1), (1, -1))
+    mixed = Fan(3, ((1, 0, 0), (1, 1, 0), (0, 0, -1), (0, 1, 0)),
+                (Cone(3, ((1, 0, 0), (1, 1, 0), (0, 0, -1))),
+                 Cone(3, ((1, 1, 0), (0, 1, 0), (0, 0, -1)))))
+    assert len(mixed.maximal_cones) == 2
+    assert Fan(0, (), ()).maximal_cones == ()
+
+
+def test_dual_cone_matches_rational_oracle_on_biduality_cases():
+    rng = random.Random(42)
+    cones = [Cone(2, m) for m in (((1, 0), (0, 1)), ((1, 1), (0, 1)), ((2, 1), (1, 1)),
+                                  ((0, 1), (-1, 0)), ((3, 2), (1, 1)), ((1, 0), (1, 2)))]
+    cones += [_random_full_dim_cone(rng, d, 4) for d in (2, 3) for _ in range(20)]
+    cones += [orthant_cone(c.signs) for c in product_p1_charts(4)]
+    for cone in cones:
+        d = cone.dimension
+        dual = dual_cone(cone)
+        assert dual.generators == cone_oracle(d, cone.generators, (0,) * d)[2]
+        assert dual_cone(dual).generators == cone_oracle(d, dual.generators, (0,) * d)[2]
+
+
+def test_primitive_vector_rational_inputs():
+    assert primitive_vector((Fraction(-2, 3), Fraction(4, 9))) == (-3, 2)
+    assert primitive_vector((Fraction(1, 3), 2, 0)) == (1, 6, 0)
+    assert primitive_vector((0.5, 1)) == (1, 2)
+    assert primitive_vector((Fraction(6, 4),)) == (1,)
+    assert all(type(c) is int for c in primitive_vector((Fraction(3, 7), Fraction(-9, 14))))
+    for zero in ((0, 0), (Fraction(0), Fraction(0, 5)), ()):
+        with pytest.raises(ValueError, match="^the zero vector has no primitive form$"):
+            primitive_vector(zero)
