@@ -9,19 +9,20 @@ are printed with 17 significant digits.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from pathlib import Path
 
-from .phase_partition import (_class_arrays, _hypercube_match, intersection_summary,
+from .phase_partition import (_class_arrays, _hypercube_failure, intersection_summary,
                               partition_to_text, partition_vertices)
 from .render import RenderSpec, render_partition_dot, render_partition_svg
 from .spin_model import (BerryPhaseResult, DegenerateDrive, DiagonalTwoQubitGate,
                          PhysicalParams, berry_phases, cphase_gate)
 from .statevec import (GatePlacement, apply_cphase, concurrence,
                        state_from_text, state_to_text, uniform_superposition)
-from .toric_geometry import (NonSimplicialCone, NotFullDimensional, fan_to_text,
-                             moment_polytope, polytope_to_text, product_p1_charts,
-                             product_p1_fan)
+from .toric_geometry import (NonSimplicialCone, NotFullDimensional, _fan_blocks,
+                             _text_blocks, _vertex_blocks, moment_polytope,
+                             product_p1_charts, product_p1_fan)
 
 USAGE_EXIT = 1
 DOMAIN_EXIT = 2
@@ -130,10 +131,11 @@ def _cmd_partition(args: argparse.Namespace) -> int:
     sys.stdout.write(partition_to_text(partition))
     if args.check_hypercube:
         for which in ("phi1", "phi2"):
-            # the class graph's check on its arrays, with no edge tuples built
-            match = _hypercube_match(args.n, placement.target, *_class_arrays(partition, which))
-            verdict = "yes" if match.is_isomorphic else f"no ({match.failure})"
-            print(f"{which} isomorphic to Q{match.dimension}: {verdict}")
+            # the class graph's check on its arrays, with no edge or witness tuples built
+            failure = _hypercube_failure(args.n, placement.target,
+                                         *_class_arrays(partition, which))
+            verdict = "yes" if failure is None else f"no ({failure})"
+            print(f"{which} isomorphic to Q{args.n - 1}: {verdict}")
         summary = intersection_summary(partition)
         print(f"crossing edges: {summary.crossing_edges}")
     return 0
@@ -144,11 +146,12 @@ def _cmd_fan(args: argparse.Namespace) -> int:
     charts = product_p1_charts(n)
     fan = product_p1_fan(n)
     polytope = moment_polytope(n)
-    lines = [f"dim={n}"]
-    lines += ["chart " + " ".join(chart.tokens()) for chart in charts]
-    lines += fan_to_text(fan).splitlines()[1:]
-    lines += polytope_to_text(polytope).splitlines()[1:]
-    print("\n".join(lines))
+    # the header, the charts, then the bodies of `fan_to_text` and `polytope_to_text`
+    sys.stdout.write(f"dim={n}\n")
+    sys.stdout.writelines(_text_blocks("chart", n, itertools.chain.from_iterable(
+        chart.tokens() for chart in charts)))
+    sys.stdout.writelines(_fan_blocks(fan))
+    sys.stdout.writelines(_vertex_blocks(polytope))
     return 0
 
 

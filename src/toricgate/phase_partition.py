@@ -40,8 +40,8 @@ class PhasePartition:
             raise ValueError("each phase class must hold exactly half the vertices")
         if not self.class_phi1.isdisjoint(self.class_phi2):
             raise ValueError("phase classes must be disjoint")
-        all_members = self.class_phi1 | self.class_phi2
-        if min(all_members) < 0 or max(all_members) >= 1 << n:
+        if (min(min(self.class_phi1), min(self.class_phi2)) < 0
+                or max(max(self.class_phi1), max(self.class_phi2)) >= 1 << n):
             raise ValueError("class members must be n-bit indices")
         agree = _agreement_mask(n, self.placement)
         if not agree[np.fromiter(self.class_phi1, dtype=np.int64, count=half)].all():
@@ -162,25 +162,28 @@ def is_hypercube_isomorphic(graph: ClassGraph) -> HypercubeMatch:
     """Match a class graph against Q_{n-1} via the drop-the-target-bit relabeling.
 
     The relabeling must be a bijection onto {0,1}^(n-1) and must carry the
-    edge set exactly onto the pairs at Hamming distance one. On failure the
-    returned match carries a short certificate instead of a witness.
+    edge set exactly onto the pairs at Hamming distance one. The match
+    carries the relabeling as its witness, and on failure a short
+    certificate as well.
     """
+    n, target = graph.n_qubits, graph.placement.target
     verts = np.unique(np.array(graph.vertices, dtype=np.int64))
     ends = np.array(graph.edges, dtype=np.int64).reshape(-1, 2)
-    return _hypercube_match(graph.n_qubits, graph.placement.target, verts, ends[:, 0], ends[:, 1])
+    failure = _hypercube_failure(n, target, verts, ends[:, 0], ends[:, 1])
+    witness = tuple(zip(verts.tolist(), drop_target_bit(verts, n, target).tolist()))
+    return HypercubeMatch(failure is None, n - 1, witness, failure)
 
 
-def _hypercube_match(n: int, target: int, verts: np.ndarray, lows: np.ndarray,
-                     highs: np.ndarray) -> HypercubeMatch:
-    """`is_hypercube_isomorphic` on arrays: the distinct vertices in ascending
-    order, and the low and high ends of every edge, both of them vertices."""
+def _hypercube_failure(n: int, target: int, verts: np.ndarray, lows: np.ndarray,
+                       highs: np.ndarray) -> str | None:
+    """Why `is_hypercube_isomorphic` fails, or None, on arrays: the distinct
+    vertices in ascending order, and the low and high ends of every edge,
+    both of them vertices. No witness is built."""
     m = n - 1
     images = drop_target_bit(verts, n, target)
-    witness = tuple(zip(verts.tolist(), images.tolist()))
     if (images.size != 1 << m or images.min() < 0 or images.max() >= 1 << m
             or np.bincount(images, minlength=1 << m).min() != 1):
-        return HypercubeMatch(False, m, witness,
-                              "relabeling is not a bijection onto the (n-1)-bit strings")
+        return "relabeling is not a bijection onto the (n-1)-bit strings"
     a, b = drop_target_bit(lows, n, target), drop_target_bit(highs, n, target)
     # distinct image pairs as sorted integers (np.unique hashes, ~20x slower); the
     # stable sort (timsort) uses the long ascending runs the relabeling leaves
@@ -192,10 +195,8 @@ def _hypercube_match(n: int, target: int, verts: np.ndarray, lows: np.ndarray,
     present = int(np.count_nonzero((flip & (flip - 1)) == 0))
     extra, missing = keys.size - present, (m << (m - 1)) - present
     if extra or missing:
-        return HypercubeMatch(
-            False, m, witness,
-            f"edge sets differ after relabeling: {extra} extra, {missing} missing")
-    return HypercubeMatch(True, m, witness)
+        return f"edge sets differ after relabeling: {extra} extra, {missing} missing"
+    return None
 
 
 def is_connected(graph: ClassGraph) -> bool:

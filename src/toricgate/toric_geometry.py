@@ -2,25 +2,38 @@
 
 Everything in this module runs on integers and `fractions.Fraction`; no
 floating point enters any predicate. One fraction-free integer elimination
-routine backs the cone predicates and `dual_cone`, and one
-order-keeping dedup validates the vectors of `Cone`, `Polytope` and
-`LaurentSupport`. Membership and duals are implemented for
-simplicial cones (linearly independent generator sets), which covers the
-signed orthants that make up the fan of an n-fold product of projective
-lines together with their images under lattice automorphisms.
+routine backs the cone predicates and `dual_cone`, which clears its columns
+to primitive vectors on integers alone, and one order-keeping dedup
+validates the vectors of `Cone`, `Polytope` and `LaurentSupport`. Membership
+and duals are implemented for simplicial cones (linearly independent
+generator sets), which covers the signed orthants that make up the fan of an
+n-fold product of projective lines together with their images under lattice
+automorphisms.
+
+Each input is checked once, and what this module builds itself is not
+checked again: its charts, the moment polytope, the duals of `dual_cone`
+and the cones of `product_p1_fan`, which hold the fan's 2n ray tuples
+themselves, are adopted as built. `Fan` validates its rays once and knows
+each cone's generators by ray index, so a cone on distinct axes is
+independent by inspection and only other cones are eliminated. The text
+forms are written in `%` blocks.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .bits import bit_at
 
 MAX_FACTORS = 16
+_TEXT_BLOCK = 4096  # lines per formatting call
 
 IntVector = tuple[int, ...]
 
@@ -43,6 +56,12 @@ def _as_int_vector(vec: Sequence[int], dimension: int) -> IntVector:
     return v
 
 
+def _coprime(ints: list[int]) -> IntVector:
+    """A nonzero integer vector divided by the gcd of its entries."""
+    g = gcd(*ints)
+    return tuple(ints) if g == 1 else tuple(i // g for i in ints)
+
+
 def primitive_vector(vec: Sequence) -> IntVector:
     """Scale a nonzero rational vector by a positive factor to coprime integers.
 
@@ -52,9 +71,16 @@ def primitive_vector(vec: Sequence) -> IntVector:
     if all(f == 0 for f in fracs):
         raise ValueError("the zero vector has no primitive form")
     denom = lcm(*(f.denominator for f in fracs))
-    ints = [int(f * denom) for f in fracs]
-    g = gcd(*(abs(i) for i in ints))
-    return tuple(i // g for i in ints)
+    return _coprime([f.numerator * (denom // f.denominator) for f in fracs])
+
+
+def _adopt(cls, **fields):
+    """An instance of one of the frozen classes here over values this module
+    has built and checked itself, taken as they are: `__post_init__` does
+    not run, so nothing is checked twice."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def _distinct_vectors(dimension: int, vectors: Iterable[Sequence[int]]) -> tuple[IntVector, ...]:
@@ -131,11 +157,16 @@ class Chart:
 
     def tokens(self) -> tuple[str, ...]:
         """Coordinate tokens, e.g. ('z1', 'z2^-1')."""
-        return tuple(f"z{k + 1}" if s == 1 else f"z{k + 1}^-1"
-                     for k, s in enumerate(self.signs))
+        return tuple(map(dict.__getitem__, _slot_tokens(len(self.signs)), self.signs))
 
     def label(self) -> str:
         return "(" + ", ".join(self.tokens()) + ")"
+
+
+@functools.cache
+def _slot_tokens(n: int) -> tuple[dict[int, str], ...]:
+    """Per chart slot, the coordinate token of each sign."""
+    return tuple({1: f"z{k + 1}", -1: f"z{k + 1}^-1"} for k in range(n))
 
 
 @dataclass(frozen=True)
@@ -147,24 +178,36 @@ class Fan:
     maximal_cones: tuple[Cone, ...]
 
     def __post_init__(self) -> None:
-        rays = tuple(_as_int_vector(r, self.dimension) for r in self.rays)
-        ray_set = set(rays)
-        if len(ray_set) != len(rays):
+        d = self.dimension
+        rays = tuple(_as_int_vector(r, d) for r in self.rays)
+        # with r rays, ray i's code is bit i, plus bit r + k when its only
+        # nonzero coordinate is at k. The codes of a cone's distinct generators
+        # sum to its ray set in the low r bits, and above them to the sum of
+        # its axis bits, which is the set of all d axes only for d distinct
+        # ones: generators on distinct axes are independent by inspection.
+        r = len(rays)
+        code = {}
+        for i, ray in enumerate(rays):
+            nonzero = [k for k, c in enumerate(ray) if c]
+            code[ray] = 1 << i | (1 << (r + nonzero[0]) if len(nonzero) == 1 else 0)
+        if len(code) != r:
             raise ValueError("rays must be distinct")
-        if (0,) * self.dimension in ray_set:
+        if (0,) * d in code:
             raise ValueError("rays must be nonzero")
-        seen: set[frozenset[IntVector]] = set()
+        all_axes = sum(1 << k for k in range(d))
+        seen: set[int] = set()
         for cone in self.maximal_cones:
-            if cone.dimension != self.dimension:
+            if cone.dimension != d:
                 raise ValueError("maximal cone dimension mismatch")
-            if len(cone.generators) != self.dimension:
+            if len(cone.generators) != d:
                 raise ValueError("maximal cones must have one generator per dimension")
-            if not set(cone.generators) <= ray_set:
-                raise ValueError("maximal cone generators must be rays of the fan")
-            if not is_simplicial(cone):
+            try:
+                key = sum(map(code.__getitem__, cone.generators))
+            except KeyError:
+                raise ValueError("maximal cone generators must be rays of the fan") from None
+            if key >> r != all_axes and not is_simplicial(cone):
                 # independence also gives strong convexity for these cones
                 raise ValueError("maximal cones must be simplicial")
-            key = frozenset(cone.generators)
             if key in seen:
                 raise ValueError("maximal cones must be pairwise distinct")
             seen.add(key)
@@ -280,9 +323,9 @@ def dual_cone(cone: Cone) -> Cone:
         raise NotFullDimensional(
             f"dual_cone requires {d} generators spanning the space, got {k}")
     scale = lcm(*(m[i][i] for i in range(d)))
-    duals = tuple(primitive_vector([scale // m[i][i] * m[i][d + c] for i in range(d)])
-                  for c in range(d))
-    return Cone(d, duals)
+    # the columns of an invertible matrix: nonzero, and no two parallel
+    return _adopt(Cone, dimension=d, generators=tuple(
+        _coprime([scale // m[i][i] * m[i][d + c] for i in range(d)]) for c in range(d)))
 
 
 def support_in_cone(support: LaurentSupport, cone: Cone) -> bool:
@@ -319,7 +362,7 @@ def _sign_patterns(n: int) -> Iterable[tuple[int, ...]]:
 def product_p1_charts(n: int) -> list[Chart]:
     """All 2^n affine charts of the n-fold product of projective lines."""
     _check_factor_count(n)
-    return [Chart(signs) for signs in _sign_patterns(n)]
+    return [_adopt(Chart, signs=signs) for signs in _sign_patterns(n)]
 
 
 def orthant_cone(signs: Sequence[int]) -> Cone:
@@ -337,39 +380,54 @@ def product_p1_fan(n: int) -> Fan:
     chart k and cone k share a sign pattern.
     """
     _check_factor_count(n)
-    plus = tuple(tuple(1 if i == k else 0 for i in range(n)) for k in range(n))
-    minus = tuple(tuple(-1 if i == k else 0 for i in range(n)) for k in range(n))
-    cones = tuple(Cone(n, tuple(plus[k] if s == 1 else minus[k] for k, s in enumerate(signs)))
-                  for signs in _sign_patterns(n))
-    return Fan(n, plus + minus, cones)
+    rays = tuple(tuple(s if i == k else 0 for i in range(n)) for s in (1, -1) for k in range(n))
+    # every cone holds the ray tuples themselves, which `Fan` checks once
+    ray_of = [{1: rays[k], -1: rays[n + k]} for k in range(n)]
+    return Fan(n, rays, tuple(
+        _adopt(Cone, dimension=n, generators=tuple(map(dict.__getitem__, ray_of, signs)))
+        for signs in _sign_patterns(n)))
 
 
 def moment_polytope(n: int) -> Polytope:
     """Moment polytope of (P^1)^n: the unit n-cube with vertices {0,1}^n."""
     _check_factor_count(n)
-    verts = tuple(tuple(bit_at(x, q, n) for q in range(1, n + 1))
-                  for x in range(1 << n))
-    return Polytope(n, verts)
+    bits = bit_at(np.arange(1 << n)[:, None], np.arange(1, n + 1), n)
+    # 2^n distinct 0/1 rows: nothing for `Polytope` to check
+    return _adopt(Polytope, dimension=n, vertices=tuple(map(tuple, bits.tolist())))
 
 
 # ---------------------------------------------------------------------------
 # text serialization
 
 
+def _text_blocks(label: str, width: int, fields: Iterable) -> Iterator[str]:
+    """`label` lines of `width` fields each, after single spaces, from one flat
+    run of fields; formatted `_TEXT_BLOCK` lines at a time, one `%` per block."""
+    line = label + " " + " ".join(["%s"] * width) + "\n"
+    fields = iter(fields)
+    while block := tuple(itertools.islice(fields, _TEXT_BLOCK * width)):
+        yield line * (len(block) // width) % block
+
+
+def _fan_blocks(fan: Fan) -> Iterator[str]:
+    """The `ray` and `cone` lines of `fan_to_text`, in blocks."""
+    yield from _text_blocks("ray", fan.dimension, itertools.chain.from_iterable(fan.rays))
+    index = {ray: str(i) for i, ray in enumerate(fan.rays)}
+    yield from _text_blocks("cone", fan.dimension, itertools.chain.from_iterable(
+        map(index.__getitem__, c.generators) for c in fan.maximal_cones))
+
+
+def _vertex_blocks(polytope: Polytope) -> Iterator[str]:
+    """The `vertex` lines of `polytope_to_text`, in blocks."""
+    return _text_blocks("vertex", polytope.dimension,
+                        itertools.chain.from_iterable(polytope.vertices))
+
+
 def fan_to_text(fan: Fan) -> str:
     """`dim=<n>` header, `ray <ints>` lines, then `cone <ray indices>` lines."""
-    lines = [f"dim={fan.dimension}"]
-    for ray in fan.rays:
-        lines.append("ray " + " ".join(str(c) for c in ray))
-    ray_index = {ray: i for i, ray in enumerate(fan.rays)}
-    for cone in fan.maximal_cones:
-        lines.append("cone " + " ".join(str(ray_index[g]) for g in cone.generators))
-    return "\n".join(lines) + "\n"
+    return f"dim={fan.dimension}\n" + "".join(_fan_blocks(fan))
 
 
 def polytope_to_text(polytope: Polytope) -> str:
     """`dim=<n>` header followed by `vertex <ints>` lines."""
-    lines = [f"dim={polytope.dimension}"]
-    for vert in polytope.vertices:
-        lines.append("vertex " + " ".join(str(c) for c in vert))
-    return "\n".join(lines) + "\n"
+    return f"dim={polytope.dimension}\n" + "".join(_vertex_blocks(polytope))
