@@ -163,9 +163,9 @@ class Chart:
         return "(" + ", ".join(self.tokens()) + ")"
 
 
-@functools.cache
+@functools.lru_cache(maxsize=MAX_FACTORS)
 def _slot_tokens(n: int) -> tuple[dict[int, str], ...]:
-    """Per chart slot, the coordinate token of each sign."""
+    """Per chart slot, the coordinate token of each sign; shared, read only."""
     return tuple({1: f"z{k + 1}", -1: f"z{k + 1}^-1"} for k in range(n))
 
 
