@@ -1,22 +1,18 @@
 """Exact lattice cones, their duals, and the chart/fan family of (P^1)^n.
 
 Everything in this module runs on integers and `fractions.Fraction`; no
-floating point enters any predicate. One fraction-free integer elimination
-routine backs the cone predicates and `dual_cone`, which clears its columns
-to primitive vectors on integers alone, and one order-keeping dedup
-validates the vectors of `Cone`, `Polytope` and `LaurentSupport`. Membership
-and duals are implemented for simplicial cones (linearly independent
-generator sets), which covers the signed orthants that make up the fan of an
-n-fold product of projective lines together with their images under lattice
-automorphisms.
+floating point enters any predicate, and dual cones are computed on
+integers alone. One fraction-free integer elimination routine backs the
+cone predicates and `dual_cone`, and one order-keeping dedup validates the
+vectors of `Cone`, `Polytope` and `LaurentSupport`. Membership and duals are
+implemented for simplicial cones (linearly independent generator sets),
+which covers the signed orthants that make up the fan of an n-fold product
+of projective lines together with their images under lattice automorphisms.
 
-Each input is checked once, and what this module builds itself is not
-checked again: its charts, the moment polytope, the duals of `dual_cone`
-and the cones of `product_p1_fan`, which hold the fan's 2n ray tuples
-themselves, are adopted as built. `Fan` validates its rays once and knows
-each cone's generators by ray index, so a cone on distinct axes is
-independent by inspection and only other cones are eliminated. The text
-forms are written in `%` blocks.
+Each input is checked once. What the module builds itself (the charts, the
+moment polytope, dual cones, and fan cones holding the fan's own 2n ray
+tuples) is adopted as built; `Fan` checks each cone by ray index, and only
+a cone not on distinct axes goes through elimination.
 """
 from __future__ import annotations
 

@@ -101,6 +101,27 @@ def test_class_sets_validated():
         PhasePartition(2, GatePlacement(1, 2), frozenset({0, 3}), frozenset({0, 1}))
 
 
+# (class_phi1, class_phi2, message) at n = 2, control 1, target 2, where the
+# agreement sets are {0, 3} and {1, 2}; each case pins which check fires first
+PARTITION_REJECTIONS = [
+    ({0, 3}, {1}, "each phase class must hold exactly half"),
+    ({0, 3}, {1, 2, 4}, "each phase class must hold exactly half"),
+    ({0, 3}, {0, 1}, "phase classes must be disjoint"),
+    ({0, -1}, {0, 4}, "phase classes must be disjoint"),
+    ({-1, 3}, {1, 2}, "class members must be n-bit indices"),
+    ({0, 3}, {1, 4}, "class members must be n-bit indices"),
+    ({4, 3}, {1, -2}, "class members must be n-bit indices"),
+    ({0, 4}, {1, 2}, "class members must be n-bit indices"),
+    ({1, 2}, {0, 3}, "phase classes must be the agreement sets"),
+]
+
+
+@pytest.mark.parametrize("phi1,phi2,message", PARTITION_REJECTIONS)
+def test_partition_rejection_messages(phi1, phi2, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        PhasePartition(2, GatePlacement(1, 2), frozenset(phi1), frozenset(phi2))
+
+
 def test_partition_classes_must_be_the_agreement_sets():
     placement = GatePlacement(1, 2)
     p = partition_vertices(3, placement)
