@@ -110,6 +110,7 @@ PARTITION_REJECTIONS = [
     ({0, -1}, {0, 4}, "phase classes must be disjoint"),
     ({-1, 3}, {1, 2}, "class members must be n-bit indices"),
     ({0, 3}, {1, 4}, "class members must be n-bit indices"),
+    ({0, 3}, {-1, 2}, "class members must be n-bit indices"),
     ({4, 3}, {1, -2}, "class members must be n-bit indices"),
     ({0, 4}, {1, 2}, "class members must be n-bit indices"),
     ({1, 2}, {0, 3}, "phase classes must be the agreement sets"),

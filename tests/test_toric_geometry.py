@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import cone_oracle, rational_rref
+from toricgate import toric_geometry
 from toricgate.toric_geometry import (MAX_FACTORS, Chart, Cone, Fan, LaurentSupport,
                                       NonSimplicialCone, NotFullDimensional,
                                       Polytope, cone_contains, dual_cone,
@@ -449,6 +450,16 @@ def test_product_fan_matches_public_construction(n):
         assert got.dimension == n
         assert got.generators == want.generators
         assert Cone(n, got.generators) == got
+
+
+def test_product_fan_needs_no_elimination(monkeypatch):
+    # its orthants lie on distinct axes, so `Fan` accepts them by inspection
+    def refuse(cone):
+        raise AssertionError("an orthant went through elimination")
+    monkeypatch.setattr(toric_geometry, "is_simplicial", refuse)
+    assert len(product_p1_fan(6).maximal_cones) == 64
+    with pytest.raises(AssertionError):
+        Fan(2, ((1, 1), (1, -1)), (Cone(2, ((1, 1), (1, -1))),))
 
 
 @pytest.mark.parametrize("n", range(1, 11))
