@@ -9,7 +9,6 @@ are printed with 17 significant digits.
 from __future__ import annotations
 
 import argparse
-import itertools
 import sys
 from pathlib import Path
 
@@ -20,9 +19,8 @@ from .spin_model import (BerryPhaseResult, DegenerateDrive, DiagonalTwoQubitGate
                          PhysicalParams, berry_phases, cphase_gate)
 from .statevec import (GatePlacement, apply_cphase, concurrence,
                        state_from_text, state_to_text, uniform_superposition)
-from .toric_geometry import (NonSimplicialCone, NotFullDimensional, _fan_blocks,
-                             _text_blocks, _vertex_blocks, moment_polytope,
-                             product_p1_charts, product_p1_fan)
+from .toric_geometry import (NonSimplicialCone, NotFullDimensional, _product_p1_blocks,
+                             moment_polytope, product_p1_charts, product_p1_fan)
 
 USAGE_EXIT = 1
 DOMAIN_EXIT = 2
@@ -146,12 +144,8 @@ def _cmd_fan(args: argparse.Namespace) -> int:
     charts = product_p1_charts(n)
     fan = product_p1_fan(n)
     polytope = moment_polytope(n)
-    # the header, the charts, then the bodies of `fan_to_text` and `polytope_to_text`
     sys.stdout.write(f"dim={n}\n")
-    sys.stdout.writelines(_text_blocks("chart", n, itertools.chain.from_iterable(
-        chart.tokens() for chart in charts)))
-    sys.stdout.writelines(_fan_blocks(fan))
-    sys.stdout.writelines(_vertex_blocks(polytope))
+    sys.stdout.writelines(_product_p1_blocks(charts, fan, polytope))
     return 0
 
 

@@ -9,14 +9,12 @@ implemented for simplicial cones (linearly independent generator sets),
 which covers the signed orthants that make up the fan of an n-fold product
 of projective lines together with their images under lattice automorphisms.
 
-Each input is checked once. What the module builds itself (the charts, the
-moment polytope, dual cones, and fan cones holding the fan's own 2n ray
-tuples) is adopted as built; `Fan` checks each cone by ray index, and only
-a cone not on distinct axes goes through elimination.
+Each input is checked once, and what the module builds itself (the charts,
+the product fan with its 2n validated ray tuples shared by every cone, the
+moment polytope and dual cones) is adopted as built, not checked again.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -153,16 +151,11 @@ class Chart:
 
     def tokens(self) -> tuple[str, ...]:
         """Coordinate tokens, e.g. ('z1', 'z2^-1')."""
-        return tuple(map(dict.__getitem__, _slot_tokens(len(self.signs)), self.signs))
+        return tuple(f"z{k + 1}" if s == 1 else f"z{k + 1}^-1"
+                     for k, s in enumerate(self.signs))
 
     def label(self) -> str:
         return "(" + ", ".join(self.tokens()) + ")"
-
-
-@functools.lru_cache(maxsize=MAX_FACTORS)
-def _slot_tokens(n: int) -> tuple[dict[int, str], ...]:
-    """Per chart slot, the coordinate token of each sign; shared, read only."""
-    return tuple({1: f"z{k + 1}", -1: f"z{k + 1}^-1"} for k in range(n))
 
 
 @dataclass(frozen=True)
@@ -174,36 +167,24 @@ class Fan:
     maximal_cones: tuple[Cone, ...]
 
     def __post_init__(self) -> None:
-        d = self.dimension
-        rays = tuple(_as_int_vector(r, d) for r in self.rays)
-        # with r rays, ray i's code is bit i, plus bit r + k when its only
-        # nonzero coordinate is at k. The codes of a cone's distinct generators
-        # sum to its ray set in the low r bits, and above them to the sum of
-        # its axis bits, which is the set of all d axes only for d distinct
-        # ones: generators on distinct axes are independent by inspection.
-        r = len(rays)
-        code = {}
-        for i, ray in enumerate(rays):
-            nonzero = [k for k, c in enumerate(ray) if c]
-            code[ray] = 1 << i | (1 << (r + nonzero[0]) if len(nonzero) == 1 else 0)
-        if len(code) != r:
+        rays = tuple(_as_int_vector(r, self.dimension) for r in self.rays)
+        ray_set = set(rays)
+        if len(ray_set) != len(rays):
             raise ValueError("rays must be distinct")
-        if (0,) * d in code:
+        if (0,) * self.dimension in ray_set:
             raise ValueError("rays must be nonzero")
-        all_axes = sum(1 << k for k in range(d))
-        seen: set[int] = set()
+        seen: set[frozenset[IntVector]] = set()
         for cone in self.maximal_cones:
-            if cone.dimension != d:
+            if cone.dimension != self.dimension:
                 raise ValueError("maximal cone dimension mismatch")
-            if len(cone.generators) != d:
+            if len(cone.generators) != self.dimension:
                 raise ValueError("maximal cones must have one generator per dimension")
-            try:
-                key = sum(map(code.__getitem__, cone.generators))
-            except KeyError:
-                raise ValueError("maximal cone generators must be rays of the fan") from None
-            if key >> r != all_axes and not is_simplicial(cone):
+            if not set(cone.generators) <= ray_set:
+                raise ValueError("maximal cone generators must be rays of the fan")
+            if not is_simplicial(cone):
                 # independence also gives strong convexity for these cones
                 raise ValueError("maximal cones must be simplicial")
+            key = frozenset(cone.generators)
             if key in seen:
                 raise ValueError("maximal cones must be pairwise distinct")
             seen.add(key)
@@ -377,11 +358,14 @@ def product_p1_fan(n: int) -> Fan:
     """
     _check_factor_count(n)
     rays = tuple(tuple(s if i == k else 0 for i in range(n)) for s in (1, -1) for k in range(n))
-    # every cone holds the ray tuples themselves, which `Fan` checks once
+    # each cone holds the ray tuples themselves, one per axis; a product of
+    # complete simplicial fans is complete and simplicial, so there is nothing
+    # for `Cone` or `Fan` to check
     ray_of = [{1: rays[k], -1: rays[n + k]} for k in range(n)]
-    return Fan(n, rays, tuple(
+    cones = tuple(
         _adopt(Cone, dimension=n, generators=tuple(map(dict.__getitem__, ray_of, signs)))
-        for signs in _sign_patterns(n)))
+        for signs in _sign_patterns(n))
+    return _adopt(Fan, dimension=n, rays=rays, maximal_cones=cones)
 
 
 def moment_polytope(n: int) -> Polytope:
@@ -417,6 +401,19 @@ def _vertex_blocks(polytope: Polytope) -> Iterator[str]:
     """The `vertex` lines of `polytope_to_text`, in blocks."""
     return _text_blocks("vertex", polytope.dimension,
                         itertools.chain.from_iterable(polytope.vertices))
+
+
+def _product_p1_blocks(charts: list[Chart], fan: Fan, polytope: Polytope) -> Iterator[str]:
+    """Everything after the `dim=<n>` header of the `fan` command, in blocks: a
+    `chart <tokens>` line per chart, then the lines of `fan_to_text` and of
+    `polytope_to_text` after their headers."""
+    # the token of each slot and sign, looked up per chart instead of formatted
+    n = fan.dimension
+    tokens = [{1: f"z{k + 1}", -1: f"z{k + 1}^-1"} for k in range(n)]
+    yield from _text_blocks("chart", n, itertools.chain.from_iterable(
+        map(dict.__getitem__, tokens, chart.signs) for chart in charts))
+    yield from _fan_blocks(fan)
+    yield from _vertex_blocks(polytope)
 
 
 def fan_to_text(fan: Fan) -> str:

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -445,6 +446,7 @@ def test_product_fan_matches_public_construction(n):
                  tuple(orthant_cone(c.signs) for c in product_p1_charts(n)))
     assert built.dimension == public.dimension == n
     assert built.rays == public.rays == _axis_rays(n)
+    assert built == public
     for got, want in zip(built.maximal_cones, public.maximal_cones, strict=True):
         assert type(got) is Cone and type(want) is Cone
         assert got.dimension == n
@@ -453,13 +455,15 @@ def test_product_fan_matches_public_construction(n):
 
 
 def test_product_fan_needs_no_elimination(monkeypatch):
-    # its orthants lie on distinct axes, so `Fan` accepts them by inspection
+    # the product fan is taken as built; a fan built by hand, on the axes
+    # or not, still has every cone go through elimination
     def refuse(cone):
-        raise AssertionError("an orthant went through elimination")
+        raise AssertionError("a cone went through elimination")
     monkeypatch.setattr(toric_geometry, "is_simplicial", refuse)
     assert len(product_p1_fan(6).maximal_cones) == 64
-    with pytest.raises(AssertionError):
-        Fan(2, ((1, 1), (1, -1)), (Cone(2, ((1, 1), (1, -1))),))
+    for rays in (((1, 1), (1, -1)), ((1, 0), (0, 1))):
+        with pytest.raises(AssertionError):
+            Fan(2, rays, (Cone(2, rays),))
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -477,6 +481,8 @@ def test_fan_and_polytope_text_bytes(n):
 
 
 # --- Fan rejections: (dimension, rays, cone generator tuples, message) ------
+# A cone given as an object instead of a generator tuple is passed as it is:
+# `Cone` drops repeated generators, a hand-built cone object may not.
 
 _SQUARE = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
@@ -519,13 +525,17 @@ FAN_REJECTIONS = {
     "dependent in 3d": (3, ((1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)),
                         [((1, 0, 0), (0, 1, 0), (1, 1, 0))],
                         "maximal cones must be simplicial"),
+    "repeated generator": (2, ((0, 1), (1, 0)),
+                           [SimpleNamespace(dimension=2, generators=((1, 0), (1, 0)))],
+                           "maximal cones must be simplicial"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(FAN_REJECTIONS))
 def test_fan_rejections(case):
     dimension, rays, cones, message = FAN_REJECTIONS[case]
-    built = tuple(Cone(len(gens[0]), gens) for gens in cones)
+    built = tuple(Cone(len(gens[0]), gens) if isinstance(gens, tuple) else gens
+                  for gens in cones)
     with pytest.raises(ValueError, match=f"^{message}"):
         Fan(dimension, rays, built)
 
