@@ -7,6 +7,10 @@ through `qubit_mask`, `bit_at`, `pair_view`, `cube_edges` and the bit-string
 codecs (`bitstring`/`bitstrings` and `index_of`/`indices_of`). The partitions
 count crossings on an agreement mask written through `pair_view`, with no
 edge list; only the renderers walk `cube_edges`.
+
+`text_blocks`, fed array values by `scalars`, is the one formatter of every
+state, partition, DOT and fan text; the CLI writes the blocks of `apply`,
+`partition`, `render --format dot` and `fan` as they come.
 """
 from __future__ import annotations
 
@@ -16,6 +20,7 @@ from collections.abc import Iterable, Iterator
 import numpy as np
 
 MAX_QUBITS = 24
+_TEXT_BLOCK = 4096  # lines per `%` call: bounds each field tuple, block and tolist()
 
 
 def qubit_mask(qubit: int, n_qubits: int) -> int:
@@ -57,6 +62,21 @@ def bitstrings(n_qubits: int, where: Iterable[bool] | None = None) -> Iterator[s
     one flag per index, only those whose flag is true (the rest are never joined)."""
     strings = itertools.product("01", repeat=n_qubits)
     return map("".join, strings if where is None else itertools.compress(strings, where))
+
+
+def text_blocks(line: str, width: int, fields: Iterable) -> Iterator[str]:
+    """`line`, a `%` format of `width` conversions, filled from one flat run of
+    fields: `_TEXT_BLOCK` lines per block, one `%` call per block."""
+    fields = iter(fields)
+    while block := tuple(itertools.islice(fields, _TEXT_BLOCK * width)):
+        yield line * (len(block) // width) % block
+
+
+def scalars(array: np.ndarray) -> Iterator:
+    """The Python scalars of a 1-d array in order, one `_TEXT_BLOCK` slice's
+    `tolist()` at a time, so the array is never one list."""
+    return itertools.chain.from_iterable(
+        array[start:start + _TEXT_BLOCK].tolist() for start in range(0, array.size, _TEXT_BLOCK))
 
 
 def index_of(bits: str) -> int:

@@ -12,13 +12,13 @@ import argparse
 import sys
 from pathlib import Path
 
-from .phase_partition import (_class_arrays, _hypercube_failure, intersection_summary,
-                              partition_to_text, partition_vertices)
-from .render import RenderSpec, render_partition_dot, render_partition_svg
+from .phase_partition import (_class_arrays, _hypercube_failure, _partition_blocks,
+                              intersection_summary, partition_vertices)
+from .render import RenderSpec, _dot_blocks, render_partition_svg
 from .spin_model import (BerryPhaseResult, DegenerateDrive, DiagonalTwoQubitGate,
                          PhysicalParams, berry_phases, cphase_gate)
-from .statevec import (GatePlacement, apply_cphase, concurrence,
-                       state_from_text, state_to_text, uniform_superposition)
+from .statevec import (GatePlacement, _state_blocks, apply_cphase, concurrence,
+                       state_from_text, uniform_superposition)
 from .toric_geometry import (NonSimplicialCone, NotFullDimensional, _product_p1_blocks,
                              moment_polytope, product_p1_charts, product_p1_fan)
 
@@ -57,12 +57,19 @@ def _phases_from_args(args: argparse.Namespace) -> BerryPhaseResult:
     return berry_phases(params)
 
 
+def _gate_from_phi1(phi1: float) -> DiagonalTwoQubitGate:
+    try:
+        return DiagonalTwoQubitGate.from_phi1(phi1)
+    except ValueError as exc:
+        raise ValueError(f"--phi1 {phi1!r}: {exc}") from None
+
+
 def _gate_from_args(args: argparse.Namespace) -> DiagonalTwoQubitGate:
     given = [getattr(args, name) is not None for name in _GATE_FLAGS]
     if args.phi1 is not None:
         if any(given):
             raise UsageError("pass either --phi1 or the spin drive flags, not both")
-        return DiagonalTwoQubitGate.from_phi1(args.phi1)
+        return _gate_from_phi1(args.phi1)
     if all(given):
         return cphase_gate(_phases_from_args(args))
     if any(given):
@@ -109,7 +116,7 @@ def _cmd_apply(args: argparse.Namespace) -> int:
     gate = _gate_from_args(args)
     placement = GatePlacement(args.control, args.target)
     out = apply_cphase(state, gate, placement)
-    sys.stdout.write(state_to_text(out))
+    sys.stdout.writelines(_state_blocks(out))
     return 0
 
 
@@ -117,7 +124,7 @@ def _cmd_concurrence(args: argparse.Namespace) -> int:
     if args.input is not None:
         state = state_from_text(Path(args.input).read_text())
     else:
-        gate = DiagonalTwoQubitGate.from_phi1(args.phi1)
+        gate = _gate_from_phi1(args.phi1)
         state = apply_cphase(uniform_superposition(2), gate, GatePlacement(1, 2))
     print(_fmt(concurrence(state)))
     return 0
@@ -126,7 +133,7 @@ def _cmd_concurrence(args: argparse.Namespace) -> int:
 def _cmd_partition(args: argparse.Namespace) -> int:
     placement = GatePlacement(args.control, args.target)
     partition = partition_vertices(args.n, placement)
-    sys.stdout.write(partition_to_text(partition))
+    sys.stdout.writelines(_partition_blocks(partition))
     if args.check_hypercube:
         for which in ("phi1", "phi2"):
             # the class graph's check on its arrays, with no edge or witness tuples built
@@ -152,10 +159,11 @@ def _cmd_fan(args: argparse.Namespace) -> int:
 def _cmd_render(args: argparse.Namespace) -> int:
     partition = partition_vertices(args.n, GatePlacement(args.control, args.target))
     if args.format == "svg":
-        text = render_partition_svg(partition, RenderSpec.for_partition(partition))
+        blocks = [render_partition_svg(partition, RenderSpec.for_partition(partition))]
     else:
-        text = render_partition_dot(partition)
-    Path(args.out).write_text(text)
+        blocks = _dot_blocks(partition)
+    with open(args.out, "w") as out:
+        out.writelines(blocks)
     print(f"wrote {args.out}")
     return 0
 

@@ -9,11 +9,12 @@ ambient cube edges that toggle one of the two distinguished bits.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import MAX_QUBITS, bitstrings, pair_view, qubit_mask
+from .bits import MAX_QUBITS, bitstrings, pair_view, qubit_mask, scalars, text_blocks
 from .statevec import GatePlacement, _check_placement
 
 
@@ -236,11 +237,17 @@ def intersection_summary(partition: PhasePartition) -> IntersectionSummary:
     return IntersectionSummary(shared, crossing, n << (n - 1))
 
 
-def partition_to_text(partition: PhasePartition) -> str:
-    """Header `n=<int> control=<int> target=<int>`, then one line per class."""
+def _partition_blocks(partition: PhasePartition) -> Iterator[str]:
+    """The text of `partition_to_text`, header first, in blocks."""
     n = partition.n_qubits
     placement = partition.placement
-    lines = [f"n={n} control={placement.control} target={placement.target}"]
+    yield f"n={n} control={placement.control} target={placement.target}\n"
     for name, members in (("phi1", partition._agree), ("phi2", ~partition._agree)):
-        lines.append(f"{name}: " + " ".join(bitstrings(n, members.tolist())))
-    return "\n".join(lines) + "\n"
+        yield f"{name}:"
+        yield from text_blocks(" %s", 1, bitstrings(n, scalars(members)))
+        yield "\n"
+
+
+def partition_to_text(partition: PhasePartition) -> str:
+    """Header `n=<int> control=<int> target=<int>`, then one line per class."""
+    return "".join(_partition_blocks(partition))

@@ -8,11 +8,13 @@ diagonal (control-target) moves dashed.
 """
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bits import bitstring, bitstrings, cube_edges, qubit_mask
+from .bits import bitstring, bitstrings, cube_edges, qubit_mask, scalars, text_blocks
 from .phase_partition import PhasePartition, class_graph
 from .statevec import GatePlacement
 
@@ -22,9 +24,6 @@ LABEL_SIZE = 14
 DEFAULT_PHI1_COLOR = "#1f77b4"
 DEFAULT_PHI2_COLOR = "#d62728"
 DEFAULT_AMBIENT_COLOR = "#999999"
-# cube_edges rows formatted per block: numpy row iteration is slow, and one
-# whole-table tolist() would hold every edge as Python ints at once
-_EDGE_BLOCK = 4096
 
 PROJECTIONS = {"square": 2, "cube-isometric": 3, "tesseract-nested": 4}
 
@@ -166,25 +165,30 @@ def render_partition_svg(partition: PhasePartition, spec: RenderSpec) -> str:
     return "\n".join(out) + "\n"
 
 
+def _dot_blocks(partition: PhasePartition) -> Iterator[str]:
+    """The text of `render_partition_dot`, in blocks."""
+    n = partition.n_qubits
+    placement = partition.placement
+    yield (f'graph "partition_n{n}_c{placement.control}_t{placement.target}" {{\n'
+           '  node [shape=circle, style=filled, fontname="monospace"];\n')
+    labels = list(bitstrings(n))
+    agree = partition._agree
+    colors = (DEFAULT_PHI2_COLOR, DEFAULT_PHI1_COLOR)  # indexed by agreement
+    yield from text_blocks('  "%s" [fillcolor="%s"];\n', 2, itertools.chain.from_iterable(
+        zip(labels, map(colors.__getitem__, scalars(agree)))))
+    # each edge's two ends, flat and in order, as the two fields of its line
+    yield from text_blocks('  "%s" -- "%s";\n', 2,
+                           map(labels.__getitem__, scalars(cube_edges(n).ravel())))
+    diagonal = qubit_mask(placement.control, n) | qubit_mask(placement.target, n)
+    for members, color in ((agree, DEFAULT_PHI1_COLOR), (~agree, DEFAULT_PHI2_COLOR)):
+        lows = np.flatnonzero(members)
+        lows = lows[lows < lows ^ diagonal]
+        yield from text_blocks(f'  "%s" -- "%s" [style=dashed, color="{color}"];\n', 2, map(
+            labels.__getitem__, scalars(np.column_stack((lows, lows ^ diagonal)).ravel())))
+    yield '}\n'
+
+
 def render_partition_dot(partition: PhasePartition) -> str:
     """Graphviz text: all vertices colored by class, ambient cube edges,
     and the dashed diagonal moves of each class. Works for any qubit count."""
-    n = partition.n_qubits
-    placement = partition.placement
-    out = [f'graph "partition_n{n}_c{placement.control}_t{placement.target}" {{',
-           '  node [shape=circle, style=filled, fontname="monospace"];']
-    labels = list(bitstrings(n))
-    agree = partition._agree
-    out += [f'  "{label}" [fillcolor="{DEFAULT_PHI1_COLOR if a else DEFAULT_PHI2_COLOR}"];'
-            for label, a in zip(labels, agree.tolist())]
-    edges = cube_edges(n)
-    for start in range(0, len(edges), _EDGE_BLOCK):
-        block = edges[start:start + _EDGE_BLOCK]
-        out += [f'  "{labels[u]}" -- "{labels[v]}";'
-                for u, v in zip(block[:, 0].tolist(), block[:, 1].tolist())]
-    diagonal = qubit_mask(placement.control, n) | qubit_mask(placement.target, n)
-    for members, color in ((agree, DEFAULT_PHI1_COLOR), (~agree, DEFAULT_PHI2_COLOR)):
-        out += [f'  "{labels[u]}" -- "{labels[u ^ diagonal]}" [style=dashed, color="{color}"];'
-                for u in np.flatnonzero(members).tolist() if u < u ^ diagonal]
-    out.append('}')
-    return "\n".join(out) + "\n"
+    return "".join(_dot_blocks(partition))

@@ -13,27 +13,35 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
+import operator
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import MAX_QUBITS, bitstring, bitstrings, indices_of, pair_view
+from .bits import (MAX_QUBITS, bitstring, bitstrings, indices_of, pair_view, scalars,
+                   text_blocks)
 from .spin_model import DiagonalTwoQubitGate
 
 _NORM_TOL = 1e-9
-_TEXT_BLOCK = 4096  # rows per formatting call: bounds the field tuple's memory
-_HEADER = re.compile(r"n=(\d+)$")
+_HEADER = re.compile(r"n=([0-9]+)$")  # \d would take non-ASCII digits
 
 
 @dataclass(frozen=True)
 class GatePlacement:
-    """Control/target qubit slots (1-based) a two-qubit gate occupies."""
+    """Control/target qubit slots (1-based) a two-qubit gate occupies, kept as ints."""
 
     control: int
     target: int
 
     def __post_init__(self) -> None:
+        for name in ("control", "target"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"qubit slots must be integers, got {name}={value!r}")
+            object.__setattr__(self, name, operator.index(value))
         if self.control < 1 or self.target < 1:
             raise ValueError("qubit slots are 1-based")
         if self.control == self.target:
@@ -134,24 +142,21 @@ def extract_phase_classes(state: StateVector,
     return [frozenset(group) for group in members]
 
 
+def _state_blocks(state: StateVector) -> Iterator[str]:
+    """The text of `state_to_text`, header first, in blocks."""
+    amps = state.amplitudes
+    yield f"n={state.n_qubits}\n"
+    yield from text_blocks("%s %.17g %.17g\n", 3, itertools.chain.from_iterable(
+        zip(bitstrings(state.n_qubits), scalars(amps.real), scalars(amps.imag))))
+
+
 def state_to_text(state: StateVector) -> str:
     """Serialize as `n=<int>` then one `<bits> <re> <im>` line per basis index.
 
     Lines end in a bare newline, come in index order, and print both parts
-    with `.17g`, so `state_from_text` reads back the same bits. Rows are
-    formatted `_TEXT_BLOCK` at a time, one C-level `%` per block.
+    with `.17g`, so `state_from_text` reads back the same bits.
     """
-    amps = state.amplitudes
-    names = bitstrings(state.n_qubits)
-    parts = [f"n={state.n_qubits}\n"]
-    for start in range(0, amps.size, _TEXT_BLOCK):
-        block = amps[start:start + _TEXT_BLOCK]
-        fields = [None] * (3 * block.size)
-        fields[0::3] = itertools.islice(names, block.size)
-        fields[1::3] = block.real.tolist()
-        fields[2::3] = block.imag.tolist()
-        parts.append(("%s %.17g %.17g\n" * block.size) % tuple(fields))
-    return "".join(parts)
+    return "".join(_state_blocks(state))
 
 
 def state_from_text(text: str) -> StateVector:

@@ -24,10 +24,9 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .bits import bit_at
+from .bits import bit_at, text_blocks
 
 MAX_FACTORS = 16
-_TEXT_BLOCK = 4096  # lines per formatting call
 
 IntVector = tuple[int, ...]
 
@@ -380,27 +379,20 @@ def moment_polytope(n: int) -> Polytope:
 # text serialization
 
 
-def _text_blocks(label: str, width: int, fields: Iterable) -> Iterator[str]:
-    """`label` lines of `width` fields each, after single spaces, from one flat
-    run of fields; formatted `_TEXT_BLOCK` lines at a time, one `%` per block."""
-    line = label + " " + " ".join(["%s"] * width) + "\n"
-    fields = iter(fields)
-    while block := tuple(itertools.islice(fields, _TEXT_BLOCK * width)):
-        yield line * (len(block) // width) % block
-
-
 def _fan_blocks(fan: Fan) -> Iterator[str]:
     """The `ray` and `cone` lines of `fan_to_text`, in blocks."""
-    yield from _text_blocks("ray", fan.dimension, itertools.chain.from_iterable(fan.rays))
+    n = fan.dimension
+    yield from text_blocks("ray" + " %s" * n + "\n", n, itertools.chain.from_iterable(fan.rays))
     index = {ray: str(i) for i, ray in enumerate(fan.rays)}
-    yield from _text_blocks("cone", fan.dimension, itertools.chain.from_iterable(
+    yield from text_blocks("cone" + " %s" * n + "\n", n, itertools.chain.from_iterable(
         map(index.__getitem__, c.generators) for c in fan.maximal_cones))
 
 
 def _vertex_blocks(polytope: Polytope) -> Iterator[str]:
     """The `vertex` lines of `polytope_to_text`, in blocks."""
-    return _text_blocks("vertex", polytope.dimension,
-                        itertools.chain.from_iterable(polytope.vertices))
+    n = polytope.dimension
+    return text_blocks("vertex" + " %s" * n + "\n", n,
+                       itertools.chain.from_iterable(polytope.vertices))
 
 
 def _product_p1_blocks(charts: list[Chart], fan: Fan, polytope: Polytope) -> Iterator[str]:
@@ -410,7 +402,7 @@ def _product_p1_blocks(charts: list[Chart], fan: Fan, polytope: Polytope) -> Ite
     # the token of each slot and sign, looked up per chart instead of formatted
     n = fan.dimension
     tokens = [{1: f"z{k + 1}", -1: f"z{k + 1}^-1"} for k in range(n)]
-    yield from _text_blocks("chart", n, itertools.chain.from_iterable(
+    yield from text_blocks("chart" + " %s" * n + "\n", n, itertools.chain.from_iterable(
         map(dict.__getitem__, tokens, chart.signs) for chart in charts))
     yield from _fan_blocks(fan)
     yield from _vertex_blocks(polytope)

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import hypercube_edges
-from toricgate.bits import (bit_at, bitstring, bitstrings, cube_edges, index_of,
-                            indices_of, pair_view, qubit_mask)
+from toricgate.bits import (_TEXT_BLOCK, bit_at, bitstring, bitstrings, cube_edges,
+                            index_of, indices_of, pair_view, qubit_mask, scalars, text_blocks)
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
@@ -76,3 +76,29 @@ def test_index_of_inverts_bitstring():
 def test_index_of_rejects_what_bitstring_never_writes(text):
     with pytest.raises(ValueError, match="not a bit string"):
         index_of(text)
+
+
+# empty, one line, one short of a block, a full block, one over, and a
+# partial third block; the texts of the package stay under one block at n <= 10
+_ROW_COUNTS = (0, 1, 4095, 4096, 4097, 8193)
+
+
+@pytest.mark.parametrize("rows", _ROW_COUNTS)
+@pytest.mark.parametrize("width", (1, 2, 3))
+def test_text_blocks_match_a_line_by_line_writer(rows, width):
+    line = "row %s" + " %.17g" * (width - 1) + ";\n"
+    fields = [f"r{i}" if j == 0 else i / 7 - j for i in range(rows) for j in range(width)]
+    blocks = list(text_blocks(line, width, iter(fields)))
+    want = "".join(line % tuple(fields[i * width:(i + 1) * width]) for i in range(rows))
+    assert "".join(blocks) == want
+    full, rest = divmod(rows, _TEXT_BLOCK)
+    assert [b.count("\n") for b in blocks] == [_TEXT_BLOCK] * full + [rest] * (rest > 0)
+
+
+@pytest.mark.parametrize("size", _ROW_COUNTS)
+def test_scalars_are_the_whole_tolist(size):
+    amps = np.arange(size) / 3 + 1j * np.arange(size)
+    for array in (amps.real, amps.imag, np.arange(size) % 3 == 0, np.arange(size)):
+        values = list(scalars(array))
+        assert values == array.tolist()
+        assert {type(v) for v in values} <= {float, bool, int}

@@ -13,7 +13,9 @@ import pytest
 from toricgate.cli import main
 from toricgate.phase_partition import partition_to_text, partition_vertices
 from toricgate.render import RenderSpec, render_partition_dot, render_partition_svg
-from toricgate.statevec import GatePlacement, state_from_text, state_to_text, uniform_superposition
+from toricgate.spin_model import DiagonalTwoQubitGate
+from toricgate.statevec import (GatePlacement, apply_cphase, state_from_text, state_to_text,
+                                uniform_superposition)
 from toricgate.toric_geometry import (MAX_FACTORS, fan_to_text, moment_polytope,
                                       polytope_to_text, product_p1_charts, product_p1_fan)
 
@@ -71,10 +73,20 @@ def test_gate_overflow_is_domain_error():
     assert "not finite" in err
 
 
+_NAN_PHI1 = "toricgate: error: --phi1 nan: gate entries must have unit modulus\n"
+
+
 def test_concurrence_nan_phi1_is_domain_error():
-    code, out, _ = invoke(["concurrence", "--phi1", "nan"])
+    code, out, err = invoke(["concurrence", "--phi1", "nan"])
     assert code == 2
     assert out == ""
+    assert err == _NAN_PHI1
+
+
+def test_apply_nan_phi1_is_domain_error():
+    code, out, err = invoke(["apply", "--n", "3", "--control", "1", "--target", "2",
+                             "--phi1", "nan"])
+    assert (code, out, err) == (2, "", _NAN_PHI1)
 
 
 def test_gate_bad_ordering_is_domain_error():
@@ -172,6 +184,18 @@ def test_partition_output():
     code, out, _ = invoke(["partition", "--n", "3", "--control", "1", "--target", "2"])
     assert code == 0
     assert out == partition_to_text(partition_vertices(3, GatePlacement(1, 2)))
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_streamed_stdout_is_the_library_text(n):
+    placement = GatePlacement(n, 1 + n // 3)
+    slots = ["--control", str(placement.control), "--target", str(placement.target)]
+    code, out, _ = invoke(["partition", "--n", str(n), *slots])
+    assert (code, out) == (0, partition_to_text(partition_vertices(n, placement)))
+    code, out, _ = invoke(["apply", "--n", str(n), *slots, "--phi1", "0.7"])
+    state = apply_cphase(uniform_superposition(n), DiagonalTwoQubitGate.from_phi1(0.7),
+                         placement)
+    assert (code, out) == (0, state_to_text(state))
 
 
 def test_partition_check_hypercube():

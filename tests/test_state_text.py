@@ -99,6 +99,8 @@ _REJECTED = {  # name: (text, pinned message, or None where only the ValueError 
     "extra line": (_GOOD + "11 0 0\n", "expected 4 amplitude lines, got 5$"),
     "bad header": (_GOOD.replace("n=2", "qubits=2"),
                    "expected 'n=<int>' header, got 'qubits=2'$"),
+    "Arabic-Indic qubit count": (_GOOD.replace("n=2", "n=\u0662"),
+                                 "expected 'n=<int>' header, got 'n=\u0662'$"),
     "header after a line": (_GOOD.replace("n=2\n00 0.6 0", "00 0.6 0\nn=2"),
                             "expected 'n=<int>' header, got '00 0.6 0'$"),
     "qubit count 0": ("n=0\n0 1 0\n", r"qubit count must lie in 1\.\.24$"),
@@ -159,6 +161,16 @@ def _traced_peak(call, *args):
     finally:
         tracemalloc.stop()
     return result, peak - base
+
+
+def test_apply_streams_its_output(tmp_path):
+    path = tmp_path / "out.txt"
+    with open(path, "w") as out, redirect_stdout(out):
+        code, peak = _traced_peak(main, ["apply", "--n", "16", "--control", "3",
+                                         "--target", "11", "--phi1", "0.3"])
+    assert code == 0
+    # the input and output states are 2 MiB of the text's 3.6 MiB
+    assert peak < path.stat().st_size
 
 
 def test_text_functions_stay_within_four_times_the_text():

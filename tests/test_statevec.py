@@ -64,6 +64,24 @@ def test_placement_validation():
                      GatePlacement(1, 3))
 
 
+@pytest.mark.parametrize("bad", [1.0, True, False, np.True_, np.float64(1), "1", None,
+                                 np.array([1])], ids=repr)
+def test_placement_slots_must_be_integers(bad):
+    for slots, name in (((bad, 2), "control"), ((1, bad), "target")):
+        with pytest.raises(ValueError) as info:
+            GatePlacement(*slots)
+        assert str(info.value) == f"qubit slots must be integers, got {name}={bad!r}"
+
+
+def test_placement_takes_numpy_integers_as_ints():
+    placement = GatePlacement(np.int64(1), np.uint8(3))
+    assert placement == GatePlacement(1, 3)
+    assert type(placement.control) is type(placement.target) is int
+    s, gate = uniform_superposition(3), DiagonalTwoQubitGate.from_phi1(0.4)
+    assert np.array_equal(apply_cphase(s, gate, placement).amplitudes,
+                          apply_cphase(s, gate, GatePlacement(1, 3)).amplitudes)
+
+
 def test_apply_two_qubit_grouping():
     phi1 = 0.9
     gate = DiagonalTwoQubitGate.from_phi1(phi1)
