@@ -79,7 +79,7 @@ def test_index_of_rejects_what_bitstring_never_writes(text):
 
 
 # empty, one line, one short of a block, a full block, one over, and a
-# partial third block; the texts of the package stay under one block at n <= 10
+# partial third block
 _ROW_COUNTS = (0, 1, 4095, 4096, 4097, 8193)
 
 

@@ -169,7 +169,7 @@ def test_apply_streams_its_output(tmp_path):
         code, peak = _traced_peak(main, ["apply", "--n", "16", "--control", "3",
                                          "--target", "11", "--phi1", "0.3"])
     assert code == 0
-    # the input and output states are 2 MiB of the text's 3.6 MiB
+    # the input and output states alone take 2 MiB; the text is 3.8 MiB
     assert peak < path.stat().st_size
 
 
