@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .phase_partition import (_class_arrays, _hypercube_failure, _partition_blocks,
                               intersection_summary, partition_vertices)
-from .render import RenderSpec, _dot_blocks, render_partition_svg
+from .render import RenderSpec, _check_dot_qubits, _dot_blocks, render_partition_svg
 from .spin_model import (BerryPhaseResult, DegenerateDrive, DiagonalTwoQubitGate,
                          PhysicalParams, berry_phases, cphase_gate)
 from .statevec import (GatePlacement, _state_blocks, apply_cphase, concurrence,
@@ -157,11 +157,13 @@ def _cmd_fan(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    partition = partition_vertices(args.n, GatePlacement(args.control, args.target))
+    placement = GatePlacement(args.control, args.target)
     if args.format == "svg":
+        partition = partition_vertices(args.n, placement)
         blocks = [render_partition_svg(partition, RenderSpec.for_partition(partition))]
     else:
-        blocks = _dot_blocks(partition)
+        _check_dot_qubits(args.n)  # before the partition is built or --out opened
+        blocks = _dot_blocks(partition_vertices(args.n, placement))
     with open(args.out, "w") as out:
         out.writelines(blocks)
     print(f"wrote {args.out}")

@@ -124,7 +124,7 @@ def extract_phase_classes(state: StateVector,
     are separated by more than twice the tolerance. Classes come back
     ordered by their smallest member.
     """
-    if tolerance <= 0:
+    if not 0 < tolerance < math.inf:  # NaN compares false, so it fails closed
         raise ValueError("tolerance must be positive")
     members: list[list[int]] = []
     reps: list[complex] = []

@@ -3,8 +3,9 @@
 Everything in this module runs on integers and `fractions.Fraction`; no
 floating point enters any predicate, and dual cones are computed on
 integers alone. One fraction-free integer elimination routine backs the
-cone predicates and `dual_cone`, and one order-keeping dedup validates the
-vectors of `Cone`, `Polytope` and `LaurentSupport`. Membership and duals are
+cone predicates: each cone reduces [G^T | I] with it once, for both its
+membership test and its dual. One order-keeping dedup validates the vectors
+of `Cone`, `Polytope` and `LaurentSupport`. Membership and duals are
 implemented for simplicial cones (linearly independent generator sets),
 which covers the signed orthants that make up the fan of an n-fold product
 of projective lines together with their images under lattice automorphisms.
@@ -18,6 +19,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
@@ -49,7 +51,7 @@ def _as_int_vector(vec: Sequence[int], dimension: int) -> IntVector:
     return v
 
 
-def _coprime(ints: list[int]) -> IntVector:
+def _coprime(ints: Sequence[int]) -> IntVector:
     """A nonzero integer vector divided by the gcd of its entries."""
     g = gcd(*ints)
     return tuple(ints) if g == 1 else tuple(i // g for i in ints)
@@ -102,6 +104,19 @@ class Cone:
     def primitive_generators(self) -> frozenset[IntVector]:
         """Generator directions reduced to coprime integer vectors."""
         return frozenset(primitive_vector(g) for g in self.generators)
+
+    @cached_property
+    def _functionals(self) -> tuple[IntVector, ...]:
+        """R from one reduction of [G^T | I] to [D | R], D diagonal: row j < k,
+        sign-fixed, takes a point of the span to a positive multiple of its
+        coefficient on generator j, and the other rows vanish exactly on the span."""
+        gens, k, d = self.generators, len(self.generators), self.dimension
+        rank, m = _eliminate(([g[i] for g in gens] + [int(i == j) for j in range(d)]
+                              for i in range(d)), k)
+        if rank < k:
+            raise NonSimplicialCone("generators are linearly dependent")
+        return tuple(tuple(-x for x in row[k:]) if j < k and row[j] < 0 else tuple(row[k:])
+                     for j, row in enumerate(m))
 
 
 @dataclass(frozen=True)
@@ -236,12 +251,7 @@ def is_simplicial(cone: Cone) -> bool:
 
     The zero cone (no generators) counts as simplicial.
     """
-    gens = cone.generators
-    if not gens:
-        return True
-    if len(gens) > cone.dimension:
-        return False
-    return _eliminate(gens, cone.dimension)[0] == len(gens)
+    return _eliminate(cone.generators, cone.dimension)[0] == len(cone.generators)
 
 
 def is_strongly_convex(cone: Cone) -> bool:
@@ -267,41 +277,25 @@ def cone_contains(cone: Cone, point: Sequence[int]) -> bool:
     `NonSimplicialCone`.
     """
     p = _as_int_vector(point, cone.dimension)
-    gens, k, d = cone.generators, len(cone.generators), cone.dimension
-    if not gens:
-        return all(c == 0 for c in p)
-    if k > d:
-        raise NonSimplicialCone("more generators than the dimension allows")
-    rank, m = _eliminate(([g[i] for g in gens] + [p[i]] for i in range(d)), k)
-    if rank < k:
-        raise NonSimplicialCone("generators are linearly dependent")
-    if any(m[r][k] for r in range(k, d)):
-        return False  # the point leaves the span of the generators
-    # row j reads m[j][j] * c_j = m[j][k] for the coefficient c_j of generator j
-    return all(m[j][k] * m[j][j] >= 0 for j in range(k))
+    k = len(cone.generators)
+    values = [sum(map(int.__mul__, row, p)) for row in cone._functionals]
+    # nonnegative coefficients, and no part off the span of the generators
+    return all(v >= 0 for v in values[:k]) and not any(values[k:])
 
 
 def dual_cone(cone: Cone) -> Cone:
     """Dual cone {u : <u, v> >= 0 for all v in the cone}, for full-dimensional simplicial input.
 
     With generators as the rows of V, the dual is generated by the columns
-    of V^-1 (the rows of the inverse transpose), each cleared to a primitive
-    integer vector with its direction preserved.
+    of V^-1, which are positive multiples of the cone's functionals, each
+    cleared to a primitive integer vector.
     """
-    gens, k, d = cone.generators, len(cone.generators), cone.dimension
-    # reduce [V | I] to [D | D V^-1] with D diagonal; column c of V^-1 is then
-    # m[i][d + c] / m[i][i] over the rows i, scaled here by the positive lcm
-    rank, m = _eliminate(([*g] + [int(i == j) for j in range(k)]
-                          for i, g in enumerate(gens)), d)
-    if rank < k:
-        raise NonSimplicialCone("dual_cone requires linearly independent generators")
+    rows, k, d = cone._functionals, len(cone.generators), cone.dimension
     if k != d:
         raise NotFullDimensional(
             f"dual_cone requires {d} generators spanning the space, got {k}")
-    scale = lcm(*(m[i][i] for i in range(d)))
-    # the columns of an invertible matrix: nonzero, and no two parallel
-    return _adopt(Cone, dimension=d, generators=tuple(
-        _coprime([scale // m[i][i] * m[i][d + c] for i in range(d)]) for c in range(d)))
+    # the rows of an invertible matrix: nonzero, and no two parallel
+    return _adopt(Cone, dimension=d, generators=tuple(map(_coprime, rows)))
 
 
 def support_in_cone(support: LaurentSupport, cone: Cone) -> bool:
@@ -324,15 +318,10 @@ def _check_factor_count(n: int) -> None:
         raise ValueError(f"factor count must lie in 1..{MAX_FACTORS}")
 
 
-def _sign_patterns(n: int) -> Iterable[tuple[int, ...]]:
-    # all-positive first, then single inversions in slot order, then pairs
-    # in lexicographic slot order, and so on
-    for count in range(n + 1):
-        for inverted in itertools.combinations(range(n), count):
-            pattern = [1] * n
-            for slot in inverted:
-                pattern[slot] = -1
-            yield tuple(pattern)
+def _sign_patterns(n: int) -> list[tuple[int, ...]]:
+    # all-positive first, then single inversions in slot order, then pairs in
+    # lexicographic slot order, and so on: the product's order, stably sorted
+    return sorted(itertools.product((-1, 1), repeat=n), key=lambda s: s.count(-1))
 
 
 def product_p1_charts(n: int) -> list[Chart]:
@@ -342,7 +331,8 @@ def product_p1_charts(n: int) -> list[Chart]:
 
 
 def orthant_cone(signs: Sequence[int]) -> Cone:
-    """Signed orthant spanned by {signs[k] * e_k}."""
+    """Signed orthant spanned by {signs[k] * e_k}, the signs of a `Chart`."""
+    signs = Chart(signs).signs
     d = len(signs)
     gens = tuple(tuple(signs[k] if i == k else 0 for i in range(d))
                  for k in range(d))

@@ -12,7 +12,8 @@ import pytest
 
 from toricgate.cli import main
 from toricgate.phase_partition import partition_to_text, partition_vertices
-from toricgate.render import RenderSpec, render_partition_dot, render_partition_svg
+from toricgate.render import (MAX_DOT_QUBITS, RenderSpec, render_partition_dot,
+                              render_partition_svg)
 from toricgate.spin_model import DiagonalTwoQubitGate
 from toricgate.statevec import (GatePlacement, apply_cphase, state_from_text, state_to_text,
                                 uniform_superposition)
@@ -278,6 +279,20 @@ def test_render_dot(tmp_path):
     assert code == 0
     p = partition_vertices(5, GatePlacement(1, 2))
     assert out_path.read_text() == render_partition_dot(p)
+
+
+def test_render_dot_above_cap_is_domain_error(tmp_path, monkeypatch):
+    # refused before the partition is built or --out is created
+    def refuse(*args):
+        raise AssertionError("partition built above the DOT cap")
+    monkeypatch.setattr("toricgate.cli.partition_vertices", refuse)
+    out_path = tmp_path / "big.dot"
+    n = MAX_DOT_QUBITS + 1
+    code, out, err = invoke(["render", "--n", str(n), "--control", "1", "--target", "2",
+                             "--format", "dot", "--out", str(out_path)])
+    assert (code, out) == (2, "")
+    assert err == f"toricgate: error: --n {n}: DOT output is capped at {MAX_DOT_QUBITS} qubits\n"
+    assert not out_path.exists()
 
 
 def test_render_bad_format_is_usage_error(tmp_path):

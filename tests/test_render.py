@@ -1,4 +1,5 @@
 import hashlib
+import math
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -66,8 +67,11 @@ def test_render_spec_validation():
         RenderSpec(3, placement, "square")
     with pytest.raises(ValueError):
         RenderSpec(2, placement, "nonsense")
-    with pytest.raises(ValueError):
-        RenderSpec(2, placement, "square", ambient_stroke=0.0)
+    for field in ("ambient_stroke", "class_stroke"):
+        # NaN and inf used to pass and reach the SVG as stroke-width="nan"
+        for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="^stroke widths must be positive$"):
+                RenderSpec(2, placement, "square", **{field: bad})
 
 
 def test_render_spec_defaults():
@@ -163,6 +167,19 @@ def test_dot_any_qubit_count():
     assert nodes == 64
     assert plain == 6 * 32
     assert dashed == 2 ** 5
+
+
+def test_dot_refuses_more_qubits_than_its_cap(monkeypatch):
+    # the cap is checked before the labels or the cube edges are built
+    monkeypatch.setattr("toricgate.render.MAX_DOT_QUBITS", 4)
+    assert _dot(4) == (GOLDEN / "partition_n4.dot").read_text()
+
+    def refuse(*args):
+        raise AssertionError("built before the cap was checked")
+    monkeypatch.setattr("toricgate.render.bitstrings", refuse)
+    monkeypatch.setattr("toricgate.render.cube_edges", refuse)
+    with pytest.raises(ValueError, match=r"^--n 5: DOT output is capped at 4 qubits$"):
+        _dot(5)
 
 
 def test_dot_node_order_binary_ascending():

@@ -254,8 +254,13 @@ def test_extract_phase_classes_skips_zeros():
 
 
 def test_extract_phase_classes_tolerance_validation():
-    with pytest.raises(ValueError):
-        extract_phase_classes(uniform_superposition(2), tolerance=0.0)
+    # NaN compares false with everything and inf matches every amplitude;
+    # both used to pass, giving one class per index and no class at all
+    state = uniform_superposition(3)
+    for bad in (0.0, -1e-9, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="^tolerance must be positive$"):
+            extract_phase_classes(state, tolerance=bad)
+    assert extract_phase_classes(state, tolerance=1e-9) == [frozenset(range(8))]
 
 
 def test_text_round_trip():

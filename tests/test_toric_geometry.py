@@ -252,8 +252,29 @@ def test_cone_operations_match_rational_oracle(case):
     assert cone.generators == distinct
     simplicial, contains, dual = cone_oracle(d, distinct, point)
     assert is_simplicial(cone) == simplicial
-    assert _outcome(cone_contains, cone, point) == contains
-    assert _outcome(lambda c: dual_cone(c).generators, cone) == dual
+    for _ in range(2):  # the second pass reads the reduction the first one kept
+        assert _outcome(cone_contains, cone, point) == contains
+        assert _outcome(lambda c: dual_cone(c).generators, cone) == dual
+        assert ("_functionals" in vars(cone)) == simplicial
+    # another point against the kept reduction: the origin, in every cone
+    assert _outcome(cone_contains, cone, (0,) * d) == (True if simplicial else "dependent")
+
+
+def test_kept_reduction_leaves_equality_hash_and_repr_alone():
+    gens = ((1, 2, 0), (0, 1, 3), (2, 0, 1))
+    used = Cone(3, gens)
+    assert cone_contains(used, (3, 3, 4)) and dual_cone(used).generators
+    assert "_functionals" in vars(used)
+    fresh = Cone(3, gens)
+    assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+    assert repr(used) == f"Cone(dimension=3, generators={gens!r})"
+    # a failed reduction is not kept: a dependent cone raises on every call
+    dependent = Cone(2, ((1, 0), (0, 1), (1, 1)))
+    for call in (lambda: cone_contains(dependent, (1, 1)), lambda: dual_cone(dependent)) * 2:
+        with pytest.raises(NonSimplicialCone, match="^generators are linearly dependent$"):
+            call()
+        assert "_functionals" not in vars(dependent)
+    assert dependent == Cone(2, ((1, 0), (0, 1), (1, 1)))
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -322,6 +343,15 @@ def test_chart_listing_n3():
         (-1, -1, 1), (-1, 1, -1), (1, -1, -1),
         (-1, -1, -1),
     ]
+
+
+def test_orthant_cone_takes_only_unit_signs():
+    # (0, 1) gave the one-generator cone ((0, 1),) and (2, 1) a non-primitive
+    # generator; neither is a signed orthant
+    for signs in ((0, 1), (2, 1), (1, -2), (1, 0, -1)):
+        with pytest.raises(ValueError, match="^chart signs must be \\+1 or -1$"):
+            orthant_cone(signs)
+    assert orthant_cone((1, -1)).generators == ((1, 0), (0, -1))
 
 
 def test_chart_validation():
