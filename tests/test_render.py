@@ -68,7 +68,7 @@ def test_render_spec_validation():
     with pytest.raises(ValueError):
         RenderSpec(2, placement, "nonsense")
     for field in ("ambient_stroke", "class_stroke"):
-        # NaN and inf used to pass and reach the SVG as stroke-width="nan"
+        # NaN and inf are no widths: the SVG would read stroke-width="nan"
         for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="^stroke widths must be positive$"):
                 RenderSpec(2, placement, "square", **{field: bad})

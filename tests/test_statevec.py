@@ -254,8 +254,8 @@ def test_extract_phase_classes_skips_zeros():
 
 
 def test_extract_phase_classes_tolerance_validation():
-    # NaN compares false with everything and inf matches every amplitude;
-    # both used to pass, giving one class per index and no class at all
+    # NaN matches nothing (one class per index) and inf matches every
+    # amplitude as zero (no class at all), so both are refused
     state = uniform_superposition(3)
     for bad in (0.0, -1e-9, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="^tolerance must be positive$"):

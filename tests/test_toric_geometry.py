@@ -346,8 +346,8 @@ def test_chart_listing_n3():
 
 
 def test_orthant_cone_takes_only_unit_signs():
-    # (0, 1) gave the one-generator cone ((0, 1),) and (2, 1) a non-primitive
-    # generator; neither is a signed orthant
+    # a zero sign drops an axis and a sign of 2 makes a non-primitive
+    # generator: neither gives a signed orthant
     for signs in ((0, 1), (2, 1), (1, -2), (1, 0, -1)):
         with pytest.raises(ValueError, match="^chart signs must be \\+1 or -1$"):
             orthant_cone(signs)
