@@ -8,19 +8,22 @@ codecs (`bitstring`/`bitstrings` and `index_of`/`indices_of`). The partitions
 count crossings on an agreement mask written through `pair_view`, with no
 edge list; only the renderers walk `cube_edges`.
 
-`text_blocks`, fed array values by `scalars`, is the one formatter of every
-state, partition, DOT and fan text; the CLI writes the blocks of `apply`,
-`partition`, `render --format dot` and `fan` as they come.
+Texts are written in blocks of up to `_TEXT_BLOCK` lines, which the CLI
+writes as they come. The lines of tokens (the partition, DOT and fan texts)
+are formatted by `table_text`: integer tables looked up in byte vocabularies
+and laid out as one uint8 array per block, with the bit string of an index
+looked up a byte at a time (`label_fields`). The floats of the state text
+are formatted by `text_blocks`, whose `%.17g` a table cannot replace.
 """
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
 MAX_QUBITS = 24
-_TEXT_BLOCK = 4096  # lines per `%` call: bounds each field tuple, block and tolist()
+_TEXT_BLOCK = 4096  # lines per block: bounds each field tuple, table, block and tolist()
 
 
 def qubit_mask(qubit: int, n_qubits: int) -> int:
@@ -57,11 +60,64 @@ def bitstring(index: int, n_qubits: int) -> str:
     return format(index, f"0{n_qubits}b")
 
 
-def bitstrings(n_qubits: int, where: Iterable[bool] | None = None) -> Iterator[str]:
-    """Every n-character bit string, lazily, in basis-index order; given `where`,
-    one flag per index, only those whose flag is true (the rest are never joined)."""
-    strings = itertools.product("01", repeat=n_qubits)
-    return map("".join, strings if where is None else itertools.compress(strings, where))
+def bitstrings(n_qubits: int) -> Iterator[str]:
+    """Every n-character bit string, lazily, in basis-index order."""
+    return map("".join, itertools.product("01", repeat=n_qubits))
+
+
+def vocabulary(tokens: Iterable[str]) -> np.ndarray:
+    """ASCII tokens as the rows of a (V, w) uint8 array, NUL-padded to the widest."""
+    words = np.array([token.encode("ascii") for token in tokens], dtype=bytes)
+    return words.view(np.uint8).reshape(words.size, words.itemsize)
+
+
+_BYTE_BITS = vocabulary(format(byte, "08b") for byte in range(256))
+
+
+def label_fields(indices: np.ndarray, n_qubits: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The `bitstring` of each index as `table_text` fields, 8 bits per token:
+    its leading 1 to 8 bits, then each of its lower bytes (n_qubits up to 32)."""
+    low = (n_qubits - 1) // 8  # whole bytes after the leading bits
+    lead = n_qubits - 8 * low
+    big = np.ascontiguousarray(indices, dtype=">u4")
+    big = big.view(np.uint8).reshape(*big.shape, 4)
+    fields = [(_BYTE_BITS[:1 << lead, 8 - lead:], big[..., 3 - low])]
+    return fields + [(_BYTE_BITS, big[..., 4 - low:])] if low else fields
+
+
+def row_blocks(table: np.ndarray) -> Iterator[np.ndarray]:
+    """The rows of an array, `_TEXT_BLOCK` at a time, in order."""
+    return (table[start:start + _TEXT_BLOCK] for start in range(0, len(table), _TEXT_BLOCK))
+
+
+def table_text(pieces: Sequence[str | tuple[np.ndarray, np.ndarray]]) -> str:
+    """One line per table row, the pieces side by side.
+
+    A `str` piece is written as it is on every line. A field is a
+    `vocabulary` and an integer table of up to `_TEXT_BLOCK` rows, whose row
+    writes the tokens of its entries (a 1-d table is one column). The block
+    is laid out as one (rows, width) uint8 array; when a vocabulary's tokens
+    differ in width, the NUL padding goes in one mask.
+    """
+    fields = [piece for piece in pieces if not isinstance(piece, str)]
+    rows = len(fields[0][1])
+    columns = [_opaque(piece, rows) for piece in pieces if piece]
+    lines = np.empty(rows, [("", column.dtype) for column in columns])
+    for name, column in zip(lines.dtype.names, columns):
+        lines[name] = column
+    lines = lines.view(np.uint8)
+    if not all(tokens.all() for tokens, _ in fields):
+        lines = lines[lines != 0]
+    return lines.tobytes().decode("ascii")
+
+
+def _opaque(piece: str | tuple[np.ndarray, np.ndarray], rows: int) -> np.ndarray:
+    """A piece of every line as one opaque item per row (a `str`: one for all
+    rows), so that laying out a line copies whole pieces, not single bytes."""
+    if isinstance(piece, str):
+        return np.frombuffer(piece.encode("ascii"), f"V{len(piece)}")[0]
+    tokens = np.take(*piece, axis=0).reshape(rows, -1)
+    return tokens.view(f"V{tokens.shape[1]}")[:, 0]
 
 
 def text_blocks(line: str, width: int, fields: Iterable) -> Iterator[str]:

@@ -14,13 +14,13 @@ from pathlib import Path
 
 from .phase_partition import (_class_arrays, _hypercube_failure, _partition_blocks,
                               intersection_summary, partition_vertices)
-from .render import RenderSpec, _check_dot_qubits, _dot_blocks, render_partition_svg
+from .render import (RenderSpec, _check_dot_qubits, _dot_blocks, _svg_projection,
+                     render_partition_svg)
 from .spin_model import (BerryPhaseResult, DegenerateDrive, DiagonalTwoQubitGate,
                          PhysicalParams, berry_phases, cphase_gate)
 from .statevec import (GatePlacement, _state_blocks, apply_cphase, concurrence,
                        state_from_text, uniform_superposition)
-from .toric_geometry import (NonSimplicialCone, NotFullDimensional, _product_p1_blocks,
-                             moment_polytope, product_p1_charts, product_p1_fan)
+from .toric_geometry import NonSimplicialCone, NotFullDimensional, _product_p1_blocks
 
 USAGE_EXIT = 1
 DOMAIN_EXIT = 2
@@ -147,22 +147,19 @@ def _cmd_partition(args: argparse.Namespace) -> int:
 
 
 def _cmd_fan(args: argparse.Namespace) -> int:
-    n = args.n
-    charts = product_p1_charts(n)
-    fan = product_p1_fan(n)
-    polytope = moment_polytope(n)
-    sys.stdout.write(f"dim={n}\n")
-    sys.stdout.writelines(_product_p1_blocks(charts, fan, polytope))
+    sys.stdout.writelines(_product_p1_blocks(args.n))
     return 0
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
     placement = GatePlacement(args.control, args.target)
+    # each format refuses its qubit count before the partition is built or --out opened
     if args.format == "svg":
+        _svg_projection(args.n)
         partition = partition_vertices(args.n, placement)
         blocks = [render_partition_svg(partition, RenderSpec.for_partition(partition))]
     else:
-        _check_dot_qubits(args.n)  # before the partition is built or --out opened
+        _check_dot_qubits(args.n)
         blocks = _dot_blocks(partition_vertices(args.n, placement))
     with open(args.out, "w") as out:
         out.writelines(blocks)

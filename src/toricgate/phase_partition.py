@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import MAX_QUBITS, bitstrings, pair_view, qubit_mask, scalars, text_blocks
+from .bits import MAX_QUBITS, label_fields, pair_view, qubit_mask, row_blocks, table_text
 from .statevec import GatePlacement, _check_placement
 
 
@@ -244,7 +244,8 @@ def _partition_blocks(partition: PhasePartition) -> Iterator[str]:
     yield f"n={n} control={placement.control} target={placement.target}\n"
     for name, members in (("phi1", partition._agree), ("phi2", ~partition._agree)):
         yield f"{name}:"
-        yield from text_blocks(" %s", 1, bitstrings(n, scalars(members)))
+        for block in row_blocks(np.flatnonzero(members)):
+            yield table_text([" ", *label_fields(block, n)])
         yield "\n"
 
 

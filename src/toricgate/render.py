@@ -8,13 +8,13 @@ diagonal (control-target) moves dashed.
 """
 from __future__ import annotations
 
-import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bits import bitstring, bitstrings, cube_edges, qubit_mask, scalars, text_blocks
+from .bits import (bitstring, cube_edges, label_fields, qubit_mask, row_blocks, table_text,
+                   vocabulary)
 from .phase_partition import PhasePartition, class_graph
 from .statevec import GatePlacement
 
@@ -59,13 +59,17 @@ class RenderSpec:
     @classmethod
     def for_partition(cls, partition: PhasePartition, **overrides) -> "RenderSpec":
         """Spec with the default projection for the partition's qubit count."""
-        by_n = {n: name for name, n in PROJECTIONS.items()}
-        if partition.n_qubits not in by_n:
-            raise ValueError(
-                f"no SVG projection for {partition.n_qubits} qubits (supported: 2, 3, 4)")
         spec = cls(partition.n_qubits, partition.placement,
-                   by_n[partition.n_qubits])
+                   _svg_projection(partition.n_qubits))
         return replace(spec, **overrides) if overrides else spec
+
+
+def _svg_projection(n_qubits: int) -> str:
+    """The default projection of an n-qubit SVG, or ValueError for none."""
+    by_n = {n: name for name, n in PROJECTIONS.items()}
+    if n_qubits not in by_n:
+        raise ValueError(f"no SVG projection for {n_qubits} qubits (supported: 2, 3, 4)")
+    return by_n[n_qubits]
 
 
 def _isometric(bits3: list[int]) -> tuple[float, float]:
@@ -171,26 +175,31 @@ def _check_dot_qubits(n: int) -> None:
         raise ValueError(f"--n {n}: DOT output is capped at {MAX_DOT_QUBITS} qubits")
 
 
+def _edge_lines(ends: np.ndarray, n: int, tail: str) -> Iterator[str]:
+    """A `  "<low>" -- "<high>"<tail>` line per (low, high) row of `ends`, in blocks."""
+    for block in row_blocks(ends):
+        yield table_text(['  "', *label_fields(block[:, 0], n), '" -- "',
+                          *label_fields(block[:, 1], n), '"' + tail])
+
+
 def _dot_blocks(partition: PhasePartition) -> Iterator[str]:
     """The text of `render_partition_dot`, in blocks."""
     n = partition.n_qubits
     placement = partition.placement
     yield (f'graph "partition_n{n}_c{placement.control}_t{placement.target}" {{\n'
            '  node [shape=circle, style=filled, fontname="monospace"];\n')
-    labels = list(bitstrings(n))
     agree = partition._agree
-    colors = (DEFAULT_PHI2_COLOR, DEFAULT_PHI1_COLOR)  # indexed by agreement
-    yield from text_blocks('  "%s" [fillcolor="%s"];\n', 2, itertools.chain.from_iterable(
-        zip(labels, map(colors.__getitem__, scalars(agree)))))
-    # each edge's two ends, flat and in order, as the two fields of its line
-    yield from text_blocks('  "%s" -- "%s";\n', 2,
-                           map(labels.__getitem__, scalars(cube_edges(n).ravel())))
+    colors = vocabulary((DEFAULT_PHI2_COLOR, DEFAULT_PHI1_COLOR))  # indexed by agreement
+    for vertices in row_blocks(np.arange(1 << n)):
+        yield table_text(['  "', *label_fields(vertices, n), '" [fillcolor="',
+                          (colors, agree[vertices]), '"];\n'])
+    yield from _edge_lines(cube_edges(n), n, ";\n")
     diagonal = qubit_mask(placement.control, n) | qubit_mask(placement.target, n)
     for members, color in ((agree, DEFAULT_PHI1_COLOR), (~agree, DEFAULT_PHI2_COLOR)):
         lows = np.flatnonzero(members)
         lows = lows[lows < lows ^ diagonal]
-        yield from text_blocks(f'  "%s" -- "%s" [style=dashed, color="{color}"];\n', 2, map(
-            labels.__getitem__, scalars(np.column_stack((lows, lows ^ diagonal)).ravel())))
+        yield from _edge_lines(np.column_stack((lows, lows ^ diagonal)), n,
+                               f' [style=dashed, color="{color}"];\n')
     yield '}\n'
 
 

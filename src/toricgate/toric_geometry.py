@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .bits import bit_at, text_blocks
+from .bits import bit_at, row_blocks, table_text, vocabulary
 
 MAX_FACTORS = 16
 
@@ -294,8 +294,11 @@ def dual_cone(cone: Cone) -> Cone:
     if k != d:
         raise NotFullDimensional(
             f"dual_cone requires {d} generators spanning the space, got {k}")
-    # the rows of an invertible matrix: nonzero, and no two parallel
-    return _adopt(Cone, dimension=d, generators=tuple(map(_coprime, rows)))
+    # the rows of an invertible matrix: nonzero, and no two parallel. Generator
+    # i pairs to 0 with dual generator j != i and positively with dual
+    # generator i, so the generators are the dual's functionals as they stand
+    return _adopt(Cone, dimension=d, generators=tuple(map(_coprime, rows)),
+                  _functionals=cone.generators)
 
 
 def support_in_cone(support: LaurentSupport, cone: Cone) -> bool:
@@ -318,16 +321,34 @@ def _check_factor_count(n: int) -> None:
         raise ValueError(f"factor count must lie in 1..{MAX_FACTORS}")
 
 
-def _sign_patterns(n: int) -> list[tuple[int, ...]]:
+def _sign_patterns(n: int) -> np.ndarray:
+    """The (2^n, n) sign table of the charts of (P^1)^n, chart k in row k."""
     # all-positive first, then single inversions in slot order, then pairs in
-    # lexicographic slot order, and so on: the product's order, stably sorted
-    return sorted(itertools.product((-1, 1), repeat=n), key=lambda s: s.count(-1))
+    # lexicographic slot order, and so on: the product of (-1, 1), stably
+    # sorted by the count of -1
+    bits = _cube_vertices(n).astype(np.int8)  # a 1 bit is sign +1
+    return (2 * bits - 1)[np.argsort(-bits.sum(axis=1), kind="stable")]
+
+
+def _cube_vertices(n: int) -> np.ndarray:
+    """The (2^n, n) 0/1 table of the n-cube's vertices in index order, qubit 1 first."""
+    return bit_at(np.arange(1 << n)[:, None], np.arange(1, n + 1), n)
+
+
+def _ray_indices(signs: np.ndarray) -> np.ndarray:
+    """Index of each chart's generator per slot among the rays {+e_k}, then {-e_k}."""
+    n = signs.shape[1]
+    return np.arange(n) + n * (signs < 0)
+
+
+def _product_rays(n: int) -> tuple[IntVector, ...]:
+    return tuple(tuple(s if i == k else 0 for i in range(n)) for s in (1, -1) for k in range(n))
 
 
 def product_p1_charts(n: int) -> list[Chart]:
     """All 2^n affine charts of the n-fold product of projective lines."""
     _check_factor_count(n)
-    return [_adopt(Chart, signs=signs) for signs in _sign_patterns(n)]
+    return [_adopt(Chart, signs=signs) for signs in map(tuple, _sign_patterns(n).tolist())]
 
 
 def orthant_cone(signs: Sequence[int]) -> Cone:
@@ -346,56 +367,70 @@ def product_p1_fan(n: int) -> Fan:
     chart k and cone k share a sign pattern.
     """
     _check_factor_count(n)
-    rays = tuple(tuple(s if i == k else 0 for i in range(n)) for s in (1, -1) for k in range(n))
+    rays = _product_rays(n)
     # each cone holds the ray tuples themselves, one per axis; a product of
     # complete simplicial fans is complete and simplicial, so there is nothing
     # for `Cone` or `Fan` to check
-    ray_of = [{1: rays[k], -1: rays[n + k]} for k in range(n)]
-    cones = tuple(
-        _adopt(Cone, dimension=n, generators=tuple(map(dict.__getitem__, ray_of, signs)))
-        for signs in _sign_patterns(n))
+    shared = np.empty(2 * n, dtype=object)
+    for i, ray in enumerate(rays):
+        shared[i] = ray
+    cones = tuple(_adopt(Cone, dimension=n, generators=generators) for generators in
+                  map(tuple, shared[_ray_indices(_sign_patterns(n))].tolist()))
     return _adopt(Fan, dimension=n, rays=rays, maximal_cones=cones)
 
 
 def moment_polytope(n: int) -> Polytope:
     """Moment polytope of (P^1)^n: the unit n-cube with vertices {0,1}^n."""
     _check_factor_count(n)
-    bits = bit_at(np.arange(1 << n)[:, None], np.arange(1, n + 1), n)
     # 2^n distinct 0/1 rows: nothing for `Polytope` to check
-    return _adopt(Polytope, dimension=n, vertices=tuple(map(tuple, bits.tolist())))
+    return _adopt(Polytope, dimension=n,
+                  vertices=tuple(map(tuple, _cube_vertices(n).tolist())))
 
 
 # ---------------------------------------------------------------------------
 # text serialization
 
 
+def _lines(head: str, tokens: np.ndarray, table: np.ndarray) -> Iterator[str]:
+    """A `<head><tokens of the row>` line per row of an index table, in blocks."""
+    return (table_text((head, (tokens, block), "\n")) for block in row_blocks(table))
+
+
+def _integer_lines(head: str, rows: Sequence[IntVector]) -> Iterator[str]:
+    """A `<head> <ints>` line per row: the distinct integers are the
+    vocabulary, and the inverse of `np.unique` is the table."""
+    try:
+        array = np.array(rows, dtype=np.int64)
+    except OverflowError:  # beyond int64: Python ints, compared as such
+        array = np.array(rows, dtype=object)
+    values, table = np.unique(array, return_inverse=True)
+    return _lines(head, vocabulary(f" {v}" for v in values.tolist()), table.reshape(array.shape))
+
+
 def _fan_blocks(fan: Fan) -> Iterator[str]:
     """The `ray` and `cone` lines of `fan_to_text`, in blocks."""
     n = fan.dimension
-    yield from text_blocks("ray" + " %s" * n + "\n", n, itertools.chain.from_iterable(fan.rays))
-    index = {ray: str(i) for i, ray in enumerate(fan.rays)}
-    yield from text_blocks("cone" + " %s" * n + "\n", n, itertools.chain.from_iterable(
-        map(index.__getitem__, c.generators) for c in fan.maximal_cones))
+    index = {ray: i for i, ray in enumerate(fan.rays)}
+    cones = np.array([index[g] for cone in fan.maximal_cones for g in cone.generators],
+                     dtype=np.int64).reshape(len(fan.maximal_cones), n)
+    return itertools.chain(_integer_lines("ray", fan.rays), _lines(
+        "cone", vocabulary(f" {i}" for i in range(len(fan.rays))), cones))
 
 
-def _vertex_blocks(polytope: Polytope) -> Iterator[str]:
-    """The `vertex` lines of `polytope_to_text`, in blocks."""
-    n = polytope.dimension
-    return text_blocks("vertex" + " %s" * n + "\n", n,
-                       itertools.chain.from_iterable(polytope.vertices))
-
-
-def _product_p1_blocks(charts: list[Chart], fan: Fan, polytope: Polytope) -> Iterator[str]:
-    """Everything after the `dim=<n>` header of the `fan` command, in blocks: a
-    `chart <tokens>` line per chart, then the lines of `fan_to_text` and of
-    `polytope_to_text` after their headers."""
-    # the token of each slot and sign, looked up per chart instead of formatted
-    n = fan.dimension
-    tokens = [{1: f"z{k + 1}", -1: f"z{k + 1}^-1"} for k in range(n)]
-    yield from text_blocks("chart" + " %s" * n + "\n", n, itertools.chain.from_iterable(
-        map(dict.__getitem__, tokens, chart.signs) for chart in charts))
-    yield from _fan_blocks(fan)
-    yield from _vertex_blocks(polytope)
+def _product_p1_blocks(n: int) -> Iterator[str]:
+    """The stdout of the `fan` command, in blocks, from the sign table: `dim=<n>`,
+    a `chart <tokens>` line per chart, then the lines of
+    `fan_to_text(product_p1_fan(n))` and of `polytope_to_text(moment_polytope(n))`
+    after their headers."""
+    _check_factor_count(n)
+    signs = _sign_patterns(n)
+    slots = vocabulary(f" z{k + 1}{inverse}" for k in range(n) for inverse in ("", "^-1"))
+    return itertools.chain(
+        [f"dim={n}\n"],
+        _lines("chart", slots, 2 * np.arange(n) + (signs < 0)),
+        _integer_lines("ray", _product_rays(n)),
+        _lines("cone", vocabulary(f" {i}" for i in range(2 * n)), _ray_indices(signs)),
+        _lines("vertex", vocabulary((" 0", " 1")), _cube_vertices(n)))
 
 
 def fan_to_text(fan: Fan) -> str:
@@ -405,4 +440,4 @@ def fan_to_text(fan: Fan) -> str:
 
 def polytope_to_text(polytope: Polytope) -> str:
     """`dim=<n>` header followed by `vertex <ints>` lines."""
-    return f"dim={polytope.dimension}\n" + "".join(_vertex_blocks(polytope))
+    return f"dim={polytope.dimension}\n" + "".join(_integer_lines("vertex", polytope.vertices))

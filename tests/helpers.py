@@ -1,4 +1,5 @@
 """Shared oracles for the test suite, independent of the library internals."""
+import itertools
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -139,3 +140,72 @@ def cone_oracle(d, gens, point):
         dual = tuple(coprime_direction([m[i][d + c] for i in range(d)])
                      for c in range(d))
     return simplicial, contains, dual
+
+
+def reference_partition_text(n, control, target):
+    """The partition text written one line at a time: each class lists the
+    bit strings whose control and target characters agree (or differ)."""
+    labels = [format(x, f"0{n}b") for x in range(2 ** n)]
+    lines = [f"n={n} control={control} target={target}"]
+    for name, agree in (("phi1", True), ("phi2", False)):
+        members = [s for s in labels if (s[control - 1] == s[target - 1]) == agree]
+        lines.append(name + ":" + "".join(f" {s}" for s in members))
+    return "\n".join(lines) + "\n"
+
+
+def reference_dot_text(n, control, target):
+    """The DOT text written one line at a time: a node per bit string in
+    ascending order, a cube edge per string and '0' character turned to '1'
+    (right to left), then the dashed control-target flips of each class."""
+    colors = {True: "#1f77b4", False: "#d62728"}  # by agreement
+
+    def agree(s):
+        return s[control - 1] == s[target - 1]
+
+    def flip(s, *positions):
+        chars = list(s)
+        for p in positions:
+            chars[p] = "1" if chars[p] == "0" else "0"
+        return "".join(chars)
+
+    labels = [format(x, f"0{n}b") for x in range(2 ** n)]
+    lines = [f'graph "partition_n{n}_c{control}_t{target}" {{',
+             '  node [shape=circle, style=filled, fontname="monospace"];']
+    lines += [f'  "{s}" [fillcolor="{colors[agree(s)]}"];' for s in labels]
+    lines += [f'  "{s}" -- "{flip(s, p)}";'
+              for s in labels for p in reversed(range(n)) if s[p] == "0"]
+    for wanted in (True, False):
+        for s in labels:
+            other = flip(s, control - 1, target - 1)
+            if agree(s) == wanted and s < other:
+                lines.append(f'  "{s}" -- "{other}" [style=dashed, color="{colors[wanted]}"];')
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def reference_fan_text(dimension, rays, cones):
+    """`fan_to_text` written line by line from rays and cone generator tuples."""
+    lines = [f"dim={dimension}"]
+    lines += ["ray" + "".join(f" {c}" for c in ray) for ray in rays]
+    lines += ["cone" + "".join(f" {list(rays).index(g)}" for g in gens) for gens in cones]
+    return "\n".join(lines) + "\n"
+
+
+def reference_polytope_text(dimension, vertices):
+    """`polytope_to_text` written line by line from distinct vertices."""
+    lines = [f"dim={dimension}"] + ["vertex" + "".join(f" {c}" for c in v) for v in vertices]
+    return "\n".join(lines) + "\n"
+
+
+def reference_fan_stdout(n):
+    """The stdout of `fan --n <n>`: its charts by number of inverted slots,
+    then by the inverted slots in lexicographic order, then the text of the
+    orthant fan (rays +e_k, then -e_k) and of the unit cube."""
+    inverted = [s for size in range(n + 1) for s in itertools.combinations(range(n), size)]
+    charts = ["chart" + "".join(f" z{k + 1}^-1" if k in inv else f" z{k + 1}" for k in range(n))
+              for inv in inverted]
+    rays = [tuple(sign * int(i == k) for i in range(n)) for sign in (1, -1) for k in range(n)]
+    cones = [tuple(rays[n + k] if k in inv else rays[k] for k in range(n)) for inv in inverted]
+    vertices = [tuple(int(ch) for ch in format(x, f"0{n}b")) for x in range(2 ** n)]
+    return (f"dim={n}\n" + "".join(line + "\n" for line in charts)
+            + reference_fan_text(n, rays, cones).split("\n", 1)[1]
+            + reference_polytope_text(n, vertices).split("\n", 1)[1])

@@ -55,8 +55,6 @@ def test_bitstrings_and_indices_of_follow_the_index_order(n, seed):
     order = np.random.default_rng(seed).permutation(2 ** n)
     column = np.array([names[x] for x in order], dtype=f"S{n + 1}")
     assert indices_of(column, n).tolist() == order.tolist()
-    keep = np.random.default_rng(seed).random(2 ** n) < 0.5
-    assert list(bitstrings(n, keep.tolist())) == [s for s, k in zip(names, keep) if k]
 
 
 def test_indices_of_marks_entries_that_are_not_n_bits():

@@ -9,7 +9,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import reference_fan_stdout
 from toricgate.cli import main
 from toricgate.phase_partition import partition_to_text, partition_vertices
 from toricgate.render import (MAX_DOT_QUBITS, RenderSpec, render_partition_dot,
@@ -258,6 +261,15 @@ def test_fan_output_is_charts_fan_and_polytope_text(n):
     assert out == f"dim={n}\n" + charts + fan_body + polytope_body
 
 
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(1, 12))
+def test_fan_output_matches_a_line_by_line_writer(n):
+    # cone indices reach two digits from n = 6, slot tokens from n = 10
+    code, out, _ = invoke(["fan", "--n", str(n)])
+    assert code == 0
+    assert out == reference_fan_stdout(n)
+
+
 def test_fan_range_is_domain_error():
     assert invoke(["fan", "--n", "0"])[0] == 2
 
@@ -292,6 +304,20 @@ def test_render_dot_above_cap_is_domain_error(tmp_path, monkeypatch):
                              "--format", "dot", "--out", str(out_path)])
     assert (code, out) == (2, "")
     assert err == f"toricgate: error: --n {n}: DOT output is capped at {MAX_DOT_QUBITS} qubits\n"
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("n", [1, 5, 22, 25])
+def test_render_svg_refuses_its_qubit_count_first(tmp_path, monkeypatch, n):
+    # refused before the partition is built or --out is created
+    def refuse(*args):
+        raise AssertionError("partition built for a qubit count with no SVG projection")
+    monkeypatch.setattr("toricgate.cli.partition_vertices", refuse)
+    out_path = tmp_path / "big.svg"
+    code, out, err = invoke(["render", "--n", str(n), "--control", "1", "--target", "2",
+                             "--format", "svg", "--out", str(out_path)])
+    assert (code, out) == (2, "")
+    assert err == f"toricgate: error: no SVG projection for {n} qubits (supported: 2, 3, 4)\n"
     assert not out_path.exists()
 
 

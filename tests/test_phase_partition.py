@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import cube_match_oracle, hypercube_edges, xnor_class
+from helpers import cube_match_oracle, hypercube_edges, reference_partition_text, xnor_class
 from toricgate.bits import bitstring
 from toricgate.phase_partition import (ClassGraph, PhasePartition, class_graph,
                                        drop_target_bit, intersection_summary,
@@ -378,3 +378,13 @@ def test_hypercube_match_agrees_with_the_oracle_on_tampered_classes(
     match = is_hypercube_isomorphic(graph)
     assert match.dimension == n - 1
     assert (match.is_isomorphic, match.failure) == cube_match_oracle(n, target, vertices, edges)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.integers(2, 9))
+def test_partition_text_matches_a_line_by_line_writer_at_every_placement(n):
+    for control in range(1, n + 1):
+        for target in range(1, n + 1):
+            if control != target:
+                partition = partition_vertices(n, GatePlacement(control, target))
+                assert partition_to_text(partition) == reference_partition_text(n, control, target)

@@ -4,7 +4,10 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import reference_dot_text
 from toricgate.phase_partition import partition_vertices
 from toricgate.render import (PROJECTIONS, RenderSpec, project_vertex,
                               render_partition_dot, render_partition_svg)
@@ -176,7 +179,7 @@ def test_dot_refuses_more_qubits_than_its_cap(monkeypatch):
 
     def refuse(*args):
         raise AssertionError("built before the cap was checked")
-    monkeypatch.setattr("toricgate.render.bitstrings", refuse)
+    monkeypatch.setattr("toricgate.render.label_fields", refuse)
     monkeypatch.setattr("toricgate.render.cube_edges", refuse)
     with pytest.raises(ValueError, match=r"^--n 5: DOT output is capped at 4 qubits$"):
         _dot(5)
@@ -210,3 +213,12 @@ DOT_DIGESTS = {
 def test_dot_digest_large_n(n, control, target):
     digest = hashlib.sha256(_dot(n, control, target).encode()).hexdigest()
     assert digest == DOT_DIGESTS[n, control, target]
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.integers(2, 9))
+def test_dot_matches_a_line_by_line_writer_at_every_placement(n):
+    for control in range(1, n + 1):
+        for target in range(1, n + 1):
+            if control != target:
+                assert _dot(n, control, target) == reference_dot_text(n, control, target)

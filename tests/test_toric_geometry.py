@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import cone_oracle, rational_rref
+from helpers import cone_oracle, rational_rref, reference_fan_text, reference_polytope_text
 from toricgate import toric_geometry
 from toricgate.toric_geometry import (MAX_FACTORS, Chart, Cone, Fan, LaurentSupport,
                                       NonSimplicialCone, NotFullDimensional,
@@ -258,6 +258,15 @@ def test_cone_operations_match_rational_oracle(case):
         assert ("_functionals" in vars(cone)) == simplicial
     # another point against the kept reduction: the origin, in every cone
     assert _outcome(cone_contains, cone, (0,) * d) == (True if simplicial else "dependent")
+    if isinstance(dual, tuple):
+        # the dual keeps the cone's generators as its reduction, and answers
+        # as a fresh cone over its generators does
+        inherited, fresh = dual_cone(cone), Cone(d, dual)
+        assert vars(inherited)["_functionals"] == cone.generators
+        _, dual_contains, bidual = cone_oracle(d, dual, point)
+        for reused in (inherited, fresh):
+            assert cone_contains(reused, point) == dual_contains
+            assert dual_cone(reused).generators == bidual
 
 
 def test_kept_reduction_leaves_equality_hash_and_repr_alone():
@@ -275,6 +284,17 @@ def test_kept_reduction_leaves_equality_hash_and_repr_alone():
             call()
         assert "_functionals" not in vars(dependent)
     assert dependent == Cone(2, ((1, 0), (0, 1), (1, 1)))
+
+
+def test_a_dual_and_its_dual_need_no_elimination_of_their_own(monkeypatch):
+    cone = Cone(3, ((1, 2, 0), (0, 1, 3), (2, 0, 1)))
+    dual = dual_cone(cone)
+
+    def refuse(*args):
+        raise AssertionError("a dual went through elimination")
+    monkeypatch.setattr(toric_geometry, "_eliminate", refuse)
+    assert dual_cone(dual).generators == cone.generators
+    assert cone_contains(dual, (1, 1, 1)) and not cone_contains(dual, (-1, -1, -1))
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -452,6 +472,43 @@ def test_fan_to_text_n2():
 def test_polytope_to_text_n2():
     assert polytope_to_text(moment_polytope(2)) == (
         "dim=2\nvertex 0 0\nvertex 0 1\nvertex 1 0\nvertex 1 1\n")
+
+
+# coordinates past int64 either way, and small ones of both signs
+_COORDINATES = st.one_of(st.integers(-12, 12),
+                         st.sampled_from([10**30, -10**30, 2**63, -2**63 - 1, 2**64]))
+
+
+@st.composite
+def _hand_built_fans(draw):
+    d = draw(st.integers(1, 4))
+    rays = draw(st.lists(st.tuples(*[_COORDINATES] * d).filter(any), max_size=8, unique=True))
+    picks = draw(st.lists(st.permutations(range(len(rays))), max_size=6)) if rays else []
+    cones, seen = [], set()
+    for order in picks:
+        gens = tuple(rays[i] for i in order[:d])
+        if (len(gens) == d and frozenset(gens) not in seen
+                and len(rational_rref(gens)[0]) == d):
+            seen.add(frozenset(gens))
+            cones.append(gens)
+    return d, rays, cones
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_hand_built_fans())
+def test_fan_to_text_matches_a_line_by_line_writer(case):
+    d, rays, cones = case
+    fan = Fan(d, tuple(rays), tuple(Cone(d, gens) for gens in cones))
+    assert fan_to_text(fan) == reference_fan_text(d, rays, cones)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda d: st.lists(st.tuples(*[_COORDINATES] * d), min_size=1, max_size=12)))
+def test_polytope_to_text_matches_a_line_by_line_writer(vertices):
+    d = len(vertices[0])
+    distinct = list(dict.fromkeys(vertices))
+    assert polytope_to_text(Polytope(d, tuple(vertices))) == reference_polytope_text(d, distinct)
 
 
 # --- the fan against its public construction, and its text -----------------
