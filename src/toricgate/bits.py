@@ -4,7 +4,7 @@ A basis index x encodes the string x1 x2 ... xn with qubit 1 as the most
 significant bit, so |x1 x2 ... xn> sits at index sum_k x_k * 2^(n-k). The
 simulator, the partitions, the renderers and the moment polytope read it only
 through `qubit_mask`, `bit_at`, `pair_view`, `cube_edges` and the bit-string
-codecs (`bitstring`/`bitstrings` and `index_of`/`indices_of`). The partitions
+codecs (`bitstring`/`bitstrings`/`label_fields` and `index_of`/`indices_of`). The partitions
 count crossings on an agreement mask written through `pair_view`, with no
 edge list; only the renderers walk `cube_edges`.
 
