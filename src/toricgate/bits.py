@@ -4,26 +4,33 @@ A basis index x encodes the string x1 x2 ... xn with qubit 1 as the most
 significant bit, so |x1 x2 ... xn> sits at index sum_k x_k * 2^(n-k). The
 simulator, the partitions, the renderers and the moment polytope read it only
 through `qubit_mask`, `bit_at`, `pair_view`, `cube_edges` and the bit-string
-codecs (`bitstring`/`bitstrings`/`label_fields` and `index_of`/`indices_of`). The partitions
+codecs (`bitstring`/`label_fields` and `index_of`/`indices_of`). The partitions
 count crossings on an agreement mask written through `pair_view`, with no
 edge list; only the renderers walk `cube_edges`.
 
 Texts are written in blocks of up to `_TEXT_BLOCK` lines, which the CLI
-writes as they come. The lines of tokens (the partition, DOT and fan texts)
-are formatted by `table_text`: integer tables looked up in byte vocabularies
-and laid out as one uint8 array per block, with the bit string of an index
-looked up a byte at a time (`label_fields`). The floats of the state text
-are formatted by `text_blocks`, whose `%.17g` a table cannot replace.
+writes as they come. Every text is formatted by `table_text`: integer tables
+looked up in byte vocabularies and laid out as one uint8 array per block,
+with the bit string of an index looked up a byte at a time (`label_fields`).
+The floats of the state text are a vocabulary too: `float_tokens` writes
+each double as `'%.17g' % x` does, byte for byte. Its 17 digits come exactly
+from the double's bits through a double-double decimal scale per binade,
+filled on first use; a row whose rounding that scale cannot decide (a
+near-tie), and any zero, subnormal, inf or nan, is written by `'%.17g'`
+itself.
 """
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from collections.abc import Iterable, Iterator, Sequence
+from fractions import Fraction
 
 import numpy as np
 
 MAX_QUBITS = 24
-_TEXT_BLOCK = 4096  # lines per block: bounds each field tuple, table, block and tolist()
+_TEXT_BLOCK = 4096  # lines per block: bounds each table, token array and block
 
 
 def qubit_mask(qubit: int, n_qubits: int) -> int:
@@ -58,11 +65,6 @@ def cube_edges(n: int) -> np.ndarray:
 def bitstring(index: int, n_qubits: int) -> str:
     """Basis index rendered as its n-character bit string."""
     return format(index, f"0{n_qubits}b")
-
-
-def bitstrings(n_qubits: int) -> Iterator[str]:
-    """Every n-character bit string, lazily, in basis-index order."""
-    return map("".join, itertools.product("01", repeat=n_qubits))
 
 
 def vocabulary(tokens: Iterable[str]) -> np.ndarray:
@@ -100,15 +102,20 @@ def table_text(pieces: Sequence[str | tuple[np.ndarray, np.ndarray]]) -> str:
     differ in width, the NUL padding goes in one mask.
     """
     fields = [piece for piece in pieces if not isinstance(piece, str)]
-    rows = len(fields[0][1])
+    lines = _laid_out(pieces, len(fields[0][1]))
+    if not all(tokens.all() for tokens, _ in fields):
+        lines = lines[lines != 0]
+    return str(lines, "ascii")
+
+
+def _laid_out(pieces: Sequence[str | tuple[np.ndarray, np.ndarray]], rows: int) -> np.ndarray:
+    """The lines of `table_text` as one flat uint8 array, NUL padding and all
+    (apart, so that the looked-up columns are freed before the NUL mask)."""
     columns = [_opaque(piece, rows) for piece in pieces if piece]
     lines = np.empty(rows, [("", column.dtype) for column in columns])
     for name, column in zip(lines.dtype.names, columns):
         lines[name] = column
-    lines = lines.view(np.uint8)
-    if not all(tokens.all() for tokens, _ in fields):
-        lines = lines[lines != 0]
-    return lines.tobytes().decode("ascii")
+    return lines.view(np.uint8)
 
 
 def _opaque(piece: str | tuple[np.ndarray, np.ndarray], rows: int) -> np.ndarray:
@@ -120,19 +127,152 @@ def _opaque(piece: str | tuple[np.ndarray, np.ndarray], rows: int) -> np.ndarray
     return tokens.view(f"V{tokens.shape[1]}")[:, 0]
 
 
-def text_blocks(line: str, width: int, fields: Iterable) -> Iterator[str]:
-    """`line`, a `%` format of `width` conversions, filled from one flat run of
-    fields: `_TEXT_BLOCK` lines per block, one `%` call per block."""
-    fields = iter(fields)
-    while block := tuple(itertools.islice(fields, _TEXT_BLOCK * width)):
-        yield line * (len(block) // width) % block
+# The decimal scale of each binade [2^e, 2^(e+1)) of normal doubles, by biased
+# exponent, filled the first time one of its values is formatted and never
+# changed after, so every caller reads the same table: the decimal
+# exponent k of 2^e, the bits of the smallest double >= 10^(k+1), and
+# C = 2^(e-52) * 10^(16-X) as an unevaluated sum hi + lo of doubles, for X = k
+# (even entry) and X = k + 1 (odd entry).
+_DECADE = np.zeros(2047, np.int64)
+_NEXT_DECADE = np.zeros(2047, np.uint64)
+_SCALE_HI, _SCALE_LO = np.zeros(2 * 2047), np.zeros(2 * 2047)
+_FILLED = np.zeros(2047, bool)
+_TIE = 2.0 ** -30  # a computed fraction this close to 1/2 is left to '%.17g'
+_SPLIT = 2.0 ** 27 + 1  # Veltkamp's constant: halves a double into 26-bit parts
 
 
-def scalars(array: np.ndarray) -> Iterator:
-    """The Python scalars of a 1-d array in order, one `_TEXT_BLOCK` slice's
-    `tolist()` at a time, so the array is never one list."""
-    return itertools.chain.from_iterable(
-        array[start:start + _TEXT_BLOCK].tolist() for start in range(0, array.size, _TEXT_BLOCK))
+def _fill_scales(biased: np.ndarray) -> None:
+    """Fill the scale of every binade among the biased exponents 1..2046 given."""
+    for code in set(biased[~_FILLED[biased]].tolist()):
+        e = code - 1023
+        k = len(str(2 ** e)) - 1 if e >= 0 else -len(str(2 ** -e))
+        ten = Fraction(10) ** (k + 1)
+        bound = float(ten)  # correctly rounded, so at most one step below 10^(k+1)
+        bound = bound if Fraction(bound) >= ten else math.nextafter(bound, math.inf)
+        _DECADE[code], _NEXT_DECADE[code] = k, np.float64(bound).view(np.uint64)
+        for at, x in enumerate((k, k + 1), start=2 * code):
+            scale = Fraction(2) ** (e - 52) * Fraction(10) ** (16 - x)
+            _SCALE_HI[at] = float(scale)
+            _SCALE_LO[at] = float(scale - Fraction(_SCALE_HI[at]))
+        _FILLED[code] = True
+
+
+def _split(value: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split of doubles into high and low halves of 26 bits each."""
+    big = _SPLIT * value
+    high = big - (big - value)
+    return high, value - high
+
+
+# A `%g` token is laid out from its row's alphabet: its 17 digits, then NUL,
+# ".", "0" and "-". Its layout, 23 alphabet positions, depends only on its
+# sign, its form and how many digits it shows; the exponent is looked up apart.
+_ALPHABET = 21
+_FORMS = 22  # fixed notation for X = -4..16 (form X + 4), then exponent form
+
+
+@functools.cache
+def _float_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The tables of `float_tokens`: the four-digit groups 0000..9999 as uint32
+    words of ASCII digits, and their counts of trailing zeros (4 for 0000);
+    the layouts, in row (sign * _FORMS + form) * 17 + shown - 1; and the
+    exponent suffixes as 5-byte items, in row X + 309 (0: none)."""
+    group = np.arange(10 ** 4, dtype=np.int16)
+    digits = (group[:, None] // np.array([1000, 100, 10, 1], np.int16) % 10 + 48).astype(np.uint8)
+    zeros = sum((group % 10 ** k == 0).astype(np.uint8) for k in range(1, 5))
+    layouts = np.full((2 * _FORMS * 17, 23), 17, np.int32)
+    patterns = itertools.product((0, 1), range(_FORMS), range(1, 18))
+    for layout, (sign, form, shown) in zip(layouts, patterns):
+        before = form - 3 if form < _FORMS - 1 else 1  # X + 1 digits before the point
+        if before <= 0:  # below 1: "0.", -X - 1 zeros, the digits
+            slots = [19, 18, *[19] * -before, *range(shown)]
+        else:  # trailing zeros are dropped after the point only
+            slots = [*range(before), *[18][:shown > before], *range(before, shown)]
+        slots = [20] * sign + slots
+        layout[:len(slots)] = slots
+    exponents = vocabulary(["", *(f"e{x:+03d}" for x in range(-308, 309))])
+    return digits.view(np.uint32)[:, 0], zeros, layouts, exponents.view("V5")[:, 0]
+
+
+def float_tokens(values: np.ndarray) -> np.ndarray:
+    """`'%.17g' % x` of each double of a 1-d array, as the rows of a uint8
+    array NUL-padded to 28 bytes (the NULs may sit anywhere in a row), for use
+    as a `table_text` vocabulary.
+
+    A normal |x| = m * 2^(e-52), 2^52 <= m < 2^53, has the decimal exponent X
+    of its binade's 10^k, plus one where |x| reaches the smallest double
+    >= 10^(k+1); so 10^X <= |x| < 10^(X+1) exactly. Its 17 digits are
+    D = m * C rounded half to even, C = 2^(e-52) * 10^(16-X) held as hi + lo
+    with |lo| <= ulp(hi)/2. Dekker's exact product gives m * hi = p + err; p
+    is an integer since p >= 10^16 > 2^53, and err + m * lo is then within
+    about 2^-47 of m * C - p. So unless the computed fraction lies within
+    `_TIE` of 1/2, it sits on the same side of 1/2 as the true one, and
+    D = p + floor + (fraction > 1/2) is exact (10^17 becomes 10^16, X + 1).
+    Those near-ties (the exact ties 2^-25 and 3 * 2^-24 among them), zeros,
+    subnormals, inf and nan are written by `'%.17g' % x`, one row at a time.
+    The rest are laid out by the `%g` rules: fixed notation when
+    -4 <= X < 17, else `d.ddde+XX`, with trailing zeros and a bare point
+    dropped.
+    """
+    floats = np.ascontiguousarray(values, dtype=np.float64)
+    bits = floats.view(np.uint64)
+    digits, exponent, exact = _decimal_digits(bits & np.uint64(2 ** 63 - 1))
+    quads, zeros, layouts, exponents = _float_tables()
+    alphabet, shown = _alphabet(digits, quads, zeros)
+    fixed = (exponent >= -4) & (exponent < 17)
+    form = np.where(fixed, exponent + 4, _FORMS - 1)
+    negative = (bits >> np.uint64(63)).astype(np.intp)
+    layout = layouts[(negative * _FORMS + form) * 17 + shown - 1]
+    layout += np.arange(0, alphabet.size, _ALPHABET, dtype=np.int32)[:, None]
+    out = np.empty((len(bits), 28), np.uint8)
+    out[:, :23] = alphabet.ravel()[layout]
+    out[:, 23:] = exponents[np.where(fixed, 0, exponent + 309)].view(np.uint8).reshape(-1, 5)
+    for row in np.flatnonzero(~exact).tolist():
+        text = b"%.17g" % floats[row]
+        out[row] = 0
+        out[row, :len(text)] = np.frombuffer(text, np.uint8)
+    return out
+
+
+def _decimal_digits(magnitude: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 17 digits D and the decimal exponent X of each |x|, given as its
+    bits, and whether they are exact (see `float_tokens`)."""
+    biased = (magnitude >> np.uint64(52)).astype(np.intp)
+    normal = (biased > 0) & (biased < 2047)
+    biased[~normal] = 1  # any binade: these rows are written by '%.17g'
+    if not _FILLED[biased].all():
+        _fill_scales(biased)
+    up = magnitude >= _NEXT_DECADE[biased]
+    exponent = _DECADE[biased] + up
+    hi, lo = _SCALE_HI[2 * biased + up], _SCALE_LO[2 * biased + up]
+    mantissa = ((magnitude & np.uint64(2 ** 52 - 1)) | np.uint64(2 ** 52)).astype(float)
+    product = mantissa * hi
+    (m1, m2), (h1, h2) = _split(mantissa), _split(hi)
+    rest = ((m1 * h1 - product) + m1 * h2 + m2 * h1) + m2 * h2 + mantissa * lo
+    whole = np.floor(rest)
+    fraction = rest - whole
+    digits = product.astype(np.int64) + whole.astype(np.int64) + (fraction > 0.5)
+    carry = digits == 10 ** 17
+    digits[carry] = 10 ** 16
+    exponent += carry
+    return digits, exponent, normal & (np.abs(fraction - 0.5) > _TIE)
+
+
+def _alphabet(digits: np.ndarray, quads: np.ndarray,
+              zeros: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The alphabet of each row of 17 digits, and how many of them precede its
+    trailing zeros."""
+    first, tail = np.divmod(digits, 10 ** 16)
+    groups = np.stack(np.divmod(np.stack(np.divmod(tail, 10 ** 8), axis=1), 10 ** 4), axis=2)
+    groups = groups.reshape(-1, 4)
+    trailing = zeros[groups[:, 3]]
+    for column in (2, 1, 0):
+        trailing += (trailing == 4 * (3 - column)) * zeros[groups[:, column]]
+    alphabet = np.empty((len(digits), _ALPHABET), np.uint8)
+    alphabet[:, 0] = first + ord("0")
+    alphabet[:, 1:17] = quads[groups].view(np.uint8)
+    alphabet[:, 17:] = np.frombuffer(b"\0.0-", np.uint8)
+    return alphabet, 17 - trailing
 
 
 def index_of(bits: str) -> int:

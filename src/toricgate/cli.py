@@ -3,17 +3,19 @@
 Subcommands: gate (Berry phases and gate angles), apply (run the gate on a
 state), concurrence, partition (phase classes, optionally checked against
 the hypercube), fan (charts, rays, cones, moment polytope), render (SVG or
-DOT figure). Exit codes: 0 success, 1 usage error, 2 domain error. Floats
-are printed with 17 significant digits.
+DOT figure). Exit codes: 0 success, 1 usage error, 2 domain error (also
+when memory runs out or the reader of stdout goes away). Floats are printed
+with 17 significant digits.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
-from .phase_partition import (_class_arrays, _hypercube_failure, _partition_blocks,
-                              intersection_summary, partition_vertices)
+from .phase_partition import (_check_qubit_count, _class_arrays, _hypercube_failure,
+                              _partition_blocks, intersection_summary, partition_vertices)
 from .render import (RenderSpec, _check_dot_qubits, _dot_blocks, _svg_projection,
                      render_partition_svg)
 from .spin_model import (BerryPhaseResult, DegenerateDrive, DiagonalTwoQubitGate,
@@ -55,6 +57,14 @@ def _phases_from_args(args: argparse.Namespace) -> BerryPhaseResult:
     params = PhysicalParams(args.omega_i, args.omega_j, args.j,
                             args.omega, args.omega1)
     return berry_phases(params)
+
+
+def _named_n(n: int, call, *args):
+    """`call(n, *args)`, with a ValueError it raises about n prefixed by `--n <n>: `."""
+    try:
+        return call(n, *args)
+    except ValueError as exc:
+        raise ValueError(f"--n {n}: {exc}") from None
 
 
 def _gate_from_phi1(phi1: float) -> DiagonalTwoQubitGate:
@@ -112,7 +122,7 @@ def _cmd_apply(args: argparse.Namespace) -> int:
     else:
         if args.n is None:
             raise UsageError("--n is required unless --input provides a state")
-        state = uniform_superposition(args.n)
+        state = _named_n(args.n, uniform_superposition)
     gate = _gate_from_args(args)
     placement = GatePlacement(args.control, args.target)
     out = apply_cphase(state, gate, placement)
@@ -132,6 +142,7 @@ def _cmd_concurrence(args: argparse.Namespace) -> int:
 
 def _cmd_partition(args: argparse.Namespace) -> int:
     placement = GatePlacement(args.control, args.target)
+    _named_n(args.n, _check_qubit_count)
     partition = partition_vertices(args.n, placement)
     sys.stdout.writelines(_partition_blocks(partition))
     if args.check_hypercube:
@@ -147,7 +158,7 @@ def _cmd_partition(args: argparse.Namespace) -> int:
 
 
 def _cmd_fan(args: argparse.Namespace) -> int:
-    sys.stdout.writelines(_product_p1_blocks(args.n))
+    sys.stdout.writelines(_named_n(args.n, _product_p1_blocks))
     return 0
 
 
@@ -155,11 +166,12 @@ def _cmd_render(args: argparse.Namespace) -> int:
     placement = GatePlacement(args.control, args.target)
     # each format refuses its qubit count before the partition is built or --out opened
     if args.format == "svg":
-        _svg_projection(args.n)
+        _named_n(args.n, _svg_projection)
         partition = partition_vertices(args.n, placement)
         blocks = [render_partition_svg(partition, RenderSpec.for_partition(partition))]
     else:
         _check_dot_qubits(args.n)
+        _named_n(args.n, _check_qubit_count)
         blocks = _dot_blocks(partition_vertices(args.n, placement))
     with open(args.out, "w") as out:
         out.writelines(blocks)
@@ -225,10 +237,24 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_EXIT
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+        return code
     except UsageError as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return USAGE_EXIT
+    except BrokenPipeError:
+        # the reader left: what is still buffered, and the flush at exit, go to
+        # devnull (the SIGPIPE note of Python's signal module)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"{parser.prog}: error: stdout closed", file=sys.stderr)
+        return DOMAIN_EXIT
+    except MemoryError:
+        n = "" if getattr(args, "n", None) is None else f" --n {args.n}"
+        print(f"{parser.prog}: error: out of memory in {args.command}{n}", file=sys.stderr)
+        return DOMAIN_EXIT
     except (DegenerateDrive, NonSimplicialCone, NotFullDimensional,
             ValueError, OSError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)

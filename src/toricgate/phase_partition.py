@@ -108,10 +108,14 @@ class IntersectionSummary:
     ambient_edges: int
 
 
-def _agreement_mask(n_qubits: int, placement: GatePlacement) -> np.ndarray:
-    """Read-only boolean array over the 2^n indices: control and target bits agree."""
+def _check_qubit_count(n_qubits: int) -> None:
     if not 2 <= n_qubits <= MAX_QUBITS:
         raise ValueError(f"n_qubits must lie in 2..{MAX_QUBITS}")
+
+
+def _agreement_mask(n_qubits: int, placement: GatePlacement) -> np.ndarray:
+    """Read-only boolean array over the 2^n indices: control and target bits agree."""
+    _check_qubit_count(n_qubits)
     _check_placement(placement, n_qubits)
     agree = np.zeros(1 << n_qubits, dtype=bool)
     view = pair_view(agree, placement.control, placement.target)

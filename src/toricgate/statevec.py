@@ -11,7 +11,6 @@ input plus output: 512 MiB at the 24-qubit cap.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 import operator
@@ -21,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import (MAX_QUBITS, bitstring, bitstrings, indices_of, pair_view, scalars,
-                   text_blocks)
+from .bits import (_TEXT_BLOCK, MAX_QUBITS, bitstring, float_tokens, indices_of, label_fields,
+                   pair_view, row_blocks, table_text)
 from .spin_model import DiagonalTwoQubitGate
 
 _NORM_TOL = 1e-9
@@ -144,17 +143,24 @@ def extract_phase_classes(state: StateVector,
 
 def _state_blocks(state: StateVector) -> Iterator[str]:
     """The text of `state_to_text`, header first, in blocks."""
+    n = state.n_qubits
+    yield f"n={n}\n"
     amps = state.amplitudes
-    yield f"n={state.n_qubits}\n"
-    yield from text_blocks("%s %.17g %.17g\n", 3, itertools.chain.from_iterable(
-        zip(bitstrings(state.n_qubits), scalars(amps.real), scalars(amps.imag))))
+    for start, block in zip(range(0, amps.size, _TEXT_BLOCK), row_blocks(amps)):
+        rows = np.arange(len(block))
+        yield table_text([*label_fields(start + rows, n), " ", (float_tokens(block.real), rows),
+                          " ", (float_tokens(block.imag), rows), "\n"])
 
 
 def state_to_text(state: StateVector) -> str:
     """Serialize as `n=<int>` then one `<bits> <re> <im>` line per basis index.
 
     Lines end in a bare newline, come in index order, and print both parts
-    with `.17g`, so `state_from_text` reads back the same bits.
+    as `'%.17g' % x` does, so `state_from_text` reads back the same bits.
+    The parts are laid out as byte tables (`bits.float_tokens`): 17 digits
+    taken exactly from each double's bits, or from `'%.17g'` itself for the
+    rows whose last digit that cannot settle (within 2^-30 of a rounding
+    tie) and for zeros and subnormals.
     """
     return "".join(_state_blocks(state))
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -6,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import hypercube_edges
-from toricgate.bits import (_TEXT_BLOCK, bit_at, bitstring, bitstrings, cube_edges,
-                            index_of, indices_of, pair_view, qubit_mask, scalars, text_blocks)
+from toricgate import bits
+from toricgate.bits import (_TEXT_BLOCK, bit_at, bitstring, cube_edges, float_tokens, index_of,
+                            indices_of, label_fields, pair_view, qubit_mask, row_blocks,
+                            table_text)
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
@@ -50,7 +53,7 @@ def test_pair_view_slices_by_the_two_bits():
 @settings(derandomize=True, max_examples=30, deadline=None)
 @given(st.integers(1, 12), st.integers(0, 2**32 - 1))
 def test_bitstrings_and_indices_of_follow_the_index_order(n, seed):
-    names = list(bitstrings(n))
+    names = table_text([*label_fields(np.arange(2 ** n), n), "\n"]).splitlines()
     assert names == [format(x, f"0{n}b") for x in range(2 ** n)]
     order = np.random.default_rng(seed).permutation(2 ** n)
     column = np.array([names[x] for x in order], dtype=f"S{n + 1}")
@@ -81,13 +84,25 @@ def test_index_of_rejects_what_bitstring_never_writes(text):
 _ROW_COUNTS = (0, 1, 4095, 4096, 4097, 8193)
 
 
+def _decoded(tokens):
+    """The rows of a NUL-padded token array as strings."""
+    return [row.tobytes().replace(b"\0", b"").decode("ascii") for row in tokens]
+
+
 @pytest.mark.parametrize("rows", _ROW_COUNTS)
 @pytest.mark.parametrize("width", (1, 2, 3))
 def test_text_blocks_match_a_line_by_line_writer(rows, width):
-    line = "row %s" + " %.17g" * (width - 1) + ";\n"
-    fields = [f"r{i}" if j == 0 else i / 7 - j for i in range(rows) for j in range(width)]
-    blocks = list(text_blocks(line, width, iter(fields)))
-    want = "".join(line % tuple(fields[i * width:(i + 1) * width]) for i in range(rows))
+    # a label and width - 1 float columns per line, a block of table_text at a
+    # time, as the state text is written
+    values = np.arange(rows)[:, None] / 7 - np.arange(1, width)
+    blocks = []
+    for start, block in zip(range(0, rows, _TEXT_BLOCK), row_blocks(values)):
+        tokens, at = float_tokens(block.ravel()), np.arange(block.size).reshape(block.shape)
+        floats = [piece for column in at.T for piece in (" ", (tokens, column))]
+        blocks.append(table_text(["row ", *label_fields(np.arange(start, start + len(block)), 14),
+                                  *floats, ";\n"]))
+    want = "".join(f"row {i:014b}" + "".join(" %.17g" % v for v in values[i].tolist()) + ";\n"
+                   for i in range(rows))
     assert "".join(blocks) == want
     full, rest = divmod(rows, _TEXT_BLOCK)
     assert [b.count("\n") for b in blocks] == [_TEXT_BLOCK] * full + [rest] * (rest > 0)
@@ -95,8 +110,76 @@ def test_text_blocks_match_a_line_by_line_writer(rows, width):
 
 @pytest.mark.parametrize("size", _ROW_COUNTS)
 def test_scalars_are_the_whole_tolist(size):
+    # the float tokens of an array are the '%.17g' of its tolist(), whatever its dtype
     amps = np.arange(size) / 3 + 1j * np.arange(size)
     for array in (amps.real, amps.imag, np.arange(size) % 3 == 0, np.arange(size)):
-        values = list(scalars(array))
-        assert values == array.tolist()
-        assert {type(v) for v in values} <= {float, bool, int}
+        assert _decoded(float_tokens(array)) == ["%.17g" % v for v in array.tolist()]
+
+
+def _below(x):
+    return math.nextafter(x, -math.inf)
+
+
+def _above(x):
+    return math.nextafter(x, math.inf)
+
+
+def _planted():
+    """Doubles at the edges of the %.17g layout and of the exact digits."""
+    values = [0.0, 5e-324, 2.2250738585072009e-308, 1.5e-310, 2.2250738585072014e-308,
+              1.7976931348623157e308, 1.0, 1.5, 10.0, 100.0, 123456789.0, 2.0 ** 53 + 2,
+              1e16, 12345678901234567.0, 99999999999999984.0, 1e17, 1e-4, 1e-5]
+    for k in range(-310, 309):  # 10^k and its neighbours; 10^-310 is subnormal
+        ten = float(f"1e{k}")
+        values += [ten, _below(ten), _above(ten)]
+    for k in range(0, 1075):  # among them the exact ties 2^-25 and 3 * 2^-24
+        values += [2.0 ** -k, 3 * 2.0 ** -k]
+    return values + [-x for x in values]
+
+
+_PLANTED = _planted()
+
+
+def test_float_tokens_of_planted_values():
+    assert _decoded(float_tokens(np.array(_PLANTED))) == ["%.17g" % x for x in _PLANTED]
+    # among them, doubles just below a power of ten whose 17 digits round up
+    # to it (D = 10^17): 10^-305 and 10^-14 are two
+    carried = [k for k in range(-307, 309) if _below_power_of_ten(float(f"1e{k}"), k)
+               and ("%.17g" % float(f"1e{k}")).split("e")[0].strip("0.") == "1"]
+    assert {-305, -14} <= set(carried)
+
+
+def _below_power_of_ten(x, k):
+    p, q = x.as_integer_ratio()
+    return p * 10 ** max(-k, 0) < q * 10 ** max(k, 0)
+
+
+def _finite(bits64):
+    return (bits64 >> 52) & 0x7FF != 0x7FF
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.integers(0, 2 ** 64 - 1).filter(_finite),
+                          st.sampled_from(_PLANTED).map(
+                              lambda x: int(np.float64(x).view(np.uint64)))),
+                min_size=1, max_size=300))
+def test_float_tokens_match_percent_17g(patterns):
+    values = np.array(patterns, dtype=np.uint64).view(np.float64)
+    assert _decoded(float_tokens(values)) == ["%.17g" % x for x in values.tolist()]
+
+
+def test_fallback_rows_inside_one_block(monkeypatch):
+    rng = np.random.default_rng(11)
+    values = rng.normal(size=_TEXT_BLOCK) * 10.0 ** rng.integers(-12, 3, size=_TEXT_BLOCK)
+    planted = [0.0, -0.0, 5e-324, -1.5e-310, 2.0 ** -25, 3 * 2.0 ** -24, -3 * 2.0 ** -24,
+               math.inf, -math.inf, math.nan]
+    values[rng.choice(_TEXT_BLOCK, len(planted), replace=False)] = planted
+    want = ["%.17g" % x for x in values.tolist()]
+    assert _decoded(float_tokens(values)) == want
+    # the rows left to '%.17g' are what keeps a tie right: with no near-tie
+    # window, 3 * 2^-24 is rounded half up, not half to even
+    monkeypatch.setattr(bits, "_TIE", -1.0)
+    assert _decoded(float_tokens(np.array([3 * 2.0 ** -24]))) == ["1.7881393432617187e-07"]
+    # and with every row sent there, the block is the same
+    monkeypatch.setattr(bits, "_TIE", 1.0)
+    assert _decoded(float_tokens(values)) == want

@@ -317,8 +317,61 @@ def test_render_svg_refuses_its_qubit_count_first(tmp_path, monkeypatch, n):
     code, out, err = invoke(["render", "--n", str(n), "--control", "1", "--target", "2",
                              "--format", "svg", "--out", str(out_path)])
     assert (code, out) == (2, "")
-    assert err == f"toricgate: error: no SVG projection for {n} qubits (supported: 2, 3, 4)\n"
+    assert err == (f"toricgate: error: --n {n}: no SVG projection for {n} qubits "
+                   "(supported: 2, 3, 4)\n")
     assert not out_path.exists()
+
+
+_PLACED = ["--control", "1", "--target", "2"]
+_CAPPED = {  # each command that takes --n, with its largest n
+    "apply": (["apply", *_PLACED, "--phi1", "0.3"], 24),
+    "partition": (["partition", *_PLACED], 24),
+    "render dot": (["render", *_PLACED, "--format", "dot"], MAX_DOT_QUBITS),
+    "render svg": (["render", *_PLACED, "--format", "svg"], 4),
+    "fan": (["fan"], MAX_FACTORS),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_CAPPED))
+@pytest.mark.parametrize("where", ["zero", "cap + 1", "20 digits"])
+def test_n_out_of_range_names_the_flag(command, where, tmp_path):
+    argv, cap = _CAPPED[command]
+    n = {"zero": 0, "cap + 1": cap + 1, "20 digits": 10 ** 19 + 7}[where]
+    if command.startswith("render"):
+        argv = [*argv, "--out", str(tmp_path / "figure")]
+    code, out, err = invoke([*argv, "--n", str(n)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"toricgate: error: --n {n}: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "figure").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["apply", "--n", "18", *_PLACED, "--phi1", "0.3"],
+    ["partition", "--n", "18", *_PLACED],
+    ["fan", "--n", "14"],
+])
+def test_closed_stdout_is_reported_once(argv):
+    proc = subprocess.Popen([sys.executable, "-m", "toricgate", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(4096)) == 4096  # the first block has come
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 2
+    # one line, and nothing from the flush at interpreter exit
+    assert err == b"toricgate: error: stdout closed\n"
+
+
+@pytest.mark.parametrize("argv, where", [
+    (["apply", "--n", "24", *_PLACED, "--phi1", "0.3"], "apply --n 24"),
+    (["partition", "--n", "23", *_PLACED], "partition --n 23"),
+])
+def test_out_of_memory_is_a_domain_error(argv, where, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+    monkeypatch.setattr("toricgate.cli.uniform_superposition", exhausted)
+    monkeypatch.setattr("toricgate.cli.partition_vertices", exhausted)
+    assert invoke(argv) == (2, "", f"toricgate: error: out of memory in {where}\n")
 
 
 def test_render_bad_format_is_usage_error(tmp_path):
