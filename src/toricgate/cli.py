@@ -59,10 +59,10 @@ def _phases_from_args(args: argparse.Namespace) -> BerryPhaseResult:
     return berry_phases(params)
 
 
-def _named_n(n: int, call, *args):
-    """`call(n, *args)`, with a ValueError it raises about n prefixed by `--n <n>: `."""
+def _named_n(n: int, call):
+    """`call(n)`, with a ValueError it raises about n prefixed by `--n <n>: `."""
     try:
-        return call(n, *args)
+        return call(n)
     except ValueError as exc:
         raise ValueError(f"--n {n}: {exc}") from None
 
@@ -173,8 +173,11 @@ def _cmd_render(args: argparse.Namespace) -> int:
         _check_dot_qubits(args.n)
         _named_n(args.n, _check_qubit_count)
         blocks = _dot_blocks(partition_vertices(args.n, placement))
-    with open(args.out, "w") as out:
-        out.writelines(blocks)
+    try:
+        with open(args.out, "w") as out:
+            out.writelines(blocks)
+    except BrokenPipeError as exc:  # the reader of --out left, not that of stdout
+        raise OSError(f"--out {args.out}: {exc.strerror}") from None
     print(f"wrote {args.out}")
     return 0
 

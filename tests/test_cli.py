@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -360,6 +361,19 @@ def test_closed_stdout_is_reported_once(argv):
     assert proc.wait(timeout=60) == 2
     # one line, and nothing from the flush at interpreter exit
     assert err == b"toricgate: error: stdout closed\n"
+
+
+def test_closed_out_file_is_not_a_closed_stdout(tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    proc = subprocess.Popen([sys.executable, "-m", "toricgate", "render", "--n", "14",
+                             *_PLACED, "--format", "dot", "--out", str(fifo)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    with open(fifo, "rb") as reader:
+        assert len(reader.read(4096)) == 4096
+    out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, out) == (2, b"")
+    assert err == f"toricgate: error: --out {fifo}: Broken pipe\n".encode()
 
 
 @pytest.mark.parametrize("argv, where", [
