@@ -6,7 +6,8 @@ simulator, the partitions, the renderers and the moment polytope read it only
 through `qubit_mask`, `bit_at`, `pair_view`, `cube_edges` and the bit-string
 codecs (`bitstring`/`label_fields` and `index_of`/`indices_of`). The partitions
 count crossings on an agreement mask written through `pair_view`, with no
-edge list; only the renderers walk `cube_edges`.
+edge list; only the renderers walk `cube_edges`, the DOT text a block of
+rows at a time (`cube_edge_blocks`).
 
 Texts are written in blocks of up to `_TEXT_BLOCK` lines, which the CLI
 writes as they come. Every text is formatted by `table_text`: integer tables
@@ -56,10 +57,24 @@ def pair_view(array: np.ndarray, qubit_a: int, qubit_b: int) -> np.ndarray:
 
 def cube_edges(n: int) -> np.ndarray:
     """Edges of the n-cube as an (E, 2) array of (low, high) rows in ascending order."""
-    low = np.arange(1 << n)[:, None]
+    return np.concatenate([np.empty((0, 2), np.int64), *cube_edge_blocks(n)])
+
+
+def cube_edge_blocks(n: int) -> Iterator[np.ndarray]:
+    """The rows of `cube_edges(n)`, `_TEXT_BLOCK` at a time, in order, built
+    from `_TEXT_BLOCK` low ends at a time and never all at once."""
     flips = 1 << np.arange(n)
-    keep = (low & flips) == 0  # row-major: low ascending, then the flipped bit
-    return np.stack((np.broadcast_to(low, keep.shape)[keep], (low | flips)[keep]), axis=1)
+    carry = np.empty((0, 2), np.int64)
+    for start in range(0, 1 << n, _TEXT_BLOCK):
+        low = np.arange(start, min(start + _TEXT_BLOCK, 1 << n))[:, None]
+        keep = (low & flips) == 0  # row-major: low ascending, then the flipped bit
+        edges = np.stack((np.broadcast_to(low, keep.shape)[keep], (low | flips)[keep]), axis=1)
+        edges = np.concatenate((carry, edges))
+        whole = len(edges) - len(edges) % _TEXT_BLOCK
+        yield from row_blocks(edges[:whole])
+        carry = edges[whole:]
+    if len(carry):
+        yield carry
 
 
 def bitstring(index: int, n_qubits: int) -> str:

@@ -147,7 +147,8 @@ def _cmd_partition(args: argparse.Namespace) -> int:
     sys.stdout.writelines(_partition_blocks(partition))
     if args.check_hypercube:
         for which in ("phi1", "phi2"):
-            # the class graph's check on its arrays, with no edge or witness tuples built
+            # the class graph's check, one move direction at a time, with no
+            # edge table, edge tuples or witness built
             failure = _hypercube_failure(args.n, placement.target,
                                          *_class_arrays(partition, which))
             verdict = "yes" if failure is None else f"no ({failure})"

@@ -5,17 +5,25 @@ and target bits agree. Each class, equipped with single-bit moves on the
 free coordinates plus the joint control-target flip, is a copy of the
 (n-1)-cube; the two copies meet no vertex and cross through exactly the
 ambient cube edges that toggle one of the two distinguished bits.
+
+A partition is its agreement mask, and each class is checked against Q_(n-1)
+one move direction at a time, counting the relabeled edges that flip one bit:
+no class set, edge table or sort is built unless asked for.
 """
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bits import MAX_QUBITS, label_fields, pair_view, qubit_mask, row_blocks, table_text
 from .statevec import GatePlacement, _check_placement
+
+# class graphs hold (n-1)*2^(n-2) edge tuples: `class_graph`, `is_connected` and
+# `is_hypercube_isomorphic` of one class peak at 544 MiB at n = 19, 1089 MiB at 20
+MAX_GRAPH_QUBITS = 19
 
 
 @dataclass(frozen=True)
@@ -26,7 +34,9 @@ class PhasePartition:
     mirroring the state-vector convention. `class_phi1` must be the indices
     whose control and target bits agree and `class_phi2` the rest; the
     agreement mask behind that check is kept as the read-only `_agree`, the
-    one source the counts, texts and drawings are made from.
+    one source the counts, texts and drawings are made from. A partition from
+    `partition_vertices` holds only that mask and builds each class set the
+    first time it is read.
     """
 
     n_qubits: int
@@ -49,12 +59,22 @@ class PhasePartition:
             raise ValueError("phase classes must be the agreement sets of the placement")
         object.__setattr__(self, "_agree", agree)
 
+    def __getattr__(self, name: str) -> frozenset[int]:
+        # only reached for a class set that `partition_vertices` has not built yet
+        if name not in ("class_phi1", "class_phi2") or "_agree" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        agree = self.__dict__["_agree"]
+        members = frozenset(np.flatnonzero(agree if name == "class_phi1" else ~agree).tolist())
+        object.__setattr__(self, name, members)
+        return members
+
 
 @dataclass(frozen=True)
 class ClassGraph:
     """One phase class with free-bit edges plus the control-target diagonal.
 
-    Edges are (low, high) index pairs; every vertex has degree n-1.
+    Edges are (low, high) index pairs; every vertex has degree n-1. Graphs
+    of more than `MAX_GRAPH_QUBITS` qubits are refused.
     """
 
     n_qubits: int
@@ -64,6 +84,7 @@ class ClassGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        _check_graph_qubits(self.n_qubits)
         if self.phase_class not in ("phi1", "phi2"):
             raise ValueError("phase_class must be 'phi1' or 'phi2'")
         verts = np.unique(np.array(self.vertices, dtype=np.int64))
@@ -113,6 +134,12 @@ def _check_qubit_count(n_qubits: int) -> None:
         raise ValueError(f"n_qubits must lie in 2..{MAX_QUBITS}")
 
 
+def _check_graph_qubits(n_qubits: int) -> None:
+    if n_qubits > MAX_GRAPH_QUBITS:
+        raise ValueError(f"n_qubits {n_qubits}: class graphs are capped at "
+                         f"{MAX_GRAPH_QUBITS} qubits")
+
+
 def _agreement_mask(n_qubits: int, placement: GatePlacement) -> np.ndarray:
     """Read-only boolean array over the 2^n indices: control and target bits agree."""
     _check_qubit_count(n_qubits)
@@ -125,16 +152,22 @@ def _agreement_mask(n_qubits: int, placement: GatePlacement) -> np.ndarray:
 
 
 def partition_vertices(n_qubits: int, placement: GatePlacement) -> PhasePartition:
-    """Split the n-bit strings by agreement of the control and target bits."""
+    """Split the n-bit strings by agreement of the control and target bits
+    (the mask taken as built; a class set is built when first read)."""
     agree = _agreement_mask(n_qubits, placement)
-    phi1, phi2 = np.flatnonzero(agree).tolist(), np.flatnonzero(~agree).tolist()
-    return PhasePartition(n_qubits, placement, frozenset(phi1), frozenset(phi2))
+    if np.count_nonzero(agree) != 1 << (n_qubits - 1):
+        raise ValueError("each phase class must hold exactly half the vertices")
+    partition = object.__new__(PhasePartition)
+    partition.__dict__.update(n_qubits=n_qubits, placement=placement, _agree=agree)
+    return partition
 
 
-def _class_arrays(partition: PhasePartition,
-                  which: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One class as arrays: its sorted vertices, and the low and high ends of
-    its edges in ascending (low, high) order."""
+def _class_arrays(partition: PhasePartition, which: str
+                  ) -> tuple[np.ndarray, Iterator[tuple[np.ndarray, int]]]:
+    """One class as arrays: its vertices in ascending order, and its edges one
+    move direction at a time (each free bit, then the diagonal), as their
+    ascending low ends and the move. Every move keeps the placed bits'
+    agreement, so stays in the class, and each edge comes once, from its low end."""
     if which not in ("phi1", "phi2"):
         raise ValueError("which must be 'phi1' or 'phi2'")
     n, placement = partition.n_qubits, partition.placement
@@ -142,25 +175,28 @@ def _class_arrays(partition: PhasePartition,
     verts = np.flatnonzero(agree if which == "phi1" else ~agree)
     diagonal = qubit_mask(placement.control, n) | qubit_mask(placement.target, n)
     moves = [qubit_mask(q, n) for q in range(1, n + 1) if not qubit_mask(q, n) & diagonal]
-    # every move keeps the placed bits' agreement, so stays in the class;
-    # each edge is kept once, from its low end, and rows come out sorted
-    ends = np.sort(verts[:, None] ^ np.array(moves + [diagonal]), axis=1)
-    low_end = verts[:, None] < ends
-    return verts, np.broadcast_to(verts[:, None], ends.shape)[low_end], ends[low_end]
+    return verts, ((verts[verts < verts ^ move], move) for move in moves + [diagonal])
 
 
 def class_graph(partition: PhasePartition, which: str) -> ClassGraph:
     """Adjacency on one class: flip one bit outside the placement, or flip
-    control and target together (the diagonal move)."""
-    verts, lows, highs = _class_arrays(partition, which)
-    return ClassGraph(partition.n_qubits, partition.placement, which, tuple(verts.tolist()),
-                      tuple(zip(lows.tolist(), highs.tolist())))
+    control and target together (the diagonal move). Edges come in ascending
+    (low, high) order; at most `MAX_GRAPH_QUBITS` qubits."""
+    n = partition.n_qubits
+    _check_graph_qubits(n)
+    verts, edges = _class_arrays(partition, which)
+    keys = np.sort(np.concatenate([(lows << n) | (lows ^ move) for lows, move in edges]))
+    return ClassGraph(n, partition.placement, which, tuple(verts.tolist()),
+                      tuple(zip((keys >> n).tolist(), (keys & ((1 << n) - 1)).tolist())))
 
 
 def drop_target_bit(vertex: int | np.ndarray, n_qubits: int, target: int) -> int | np.ndarray:
     """Delete the target-slot bit from an index (or an index array), closing the gap."""
     low = qubit_mask(target, n_qubits) - 1
-    return (vertex >> 1) & ~low | vertex & low
+    dropped = vertex >> 1
+    dropped &= ~low  # in place on an array: one temporary, not three
+    dropped |= vertex & low
+    return dropped
 
 
 def is_hypercube_isomorphic(graph: ClassGraph) -> HypercubeMatch:
@@ -174,38 +210,44 @@ def is_hypercube_isomorphic(graph: ClassGraph) -> HypercubeMatch:
     n, target = graph.n_qubits, graph.placement.target
     verts = np.unique(np.array(graph.vertices, dtype=np.int64))
     ends = np.array(graph.edges, dtype=np.int64).reshape(-1, 2)
-    failure = _hypercube_failure(n, target, verts, ends[:, 0], ends[:, 1])
+    keys = np.unique(ends[:, 0] << n | ends[:, 1])  # the distinct edges
+    lows, highs = keys >> n, keys & ((1 << n) - 1)
+    failure = _hypercube_failure(n, target, verts, [(lows, lows ^ highs)])
     witness = tuple(zip(verts.tolist(), drop_target_bit(verts, n, target).tolist()))
     return HypercubeMatch(failure is None, n - 1, witness, failure)
 
 
-def _hypercube_failure(n: int, target: int, verts: np.ndarray, lows: np.ndarray,
-                       highs: np.ndarray) -> str | None:
+def _hypercube_failure(n: int, target: int, verts: np.ndarray,
+                       edges: Iterable[tuple[np.ndarray, np.ndarray | int]]) -> str | None:
     """Why `is_hypercube_isomorphic` fails, or None, on arrays: the distinct
-    vertices in ascending order, and the low and high ends of every edge,
-    both of them vertices. No witness is built."""
+    vertices in ascending order, and distinct edges in runs of low ends and
+    the bits each edge flips, every end a vertex. No witness is built."""
     m = n - 1
     images = drop_target_bit(verts, n, target)
     if (images.size != 1 << m or images.min() < 0 or images.max() >= 1 << m
             or np.bincount(images, minlength=1 << m).min() != 1):
         return "relabeling is not a bijection onto the (n-1)-bit strings"
-    a, b = drop_target_bit(lows, n, target), drop_target_bit(highs, n, target)
-    # distinct image pairs as sorted integers (np.unique hashes, ~20x slower); the
-    # stable sort (timsort) uses the long ascending runs the relabeling leaves
-    keys = np.sort(np.minimum(a, b) << m | np.maximum(a, b), kind="stable")
-    keys = keys[np.diff(keys, prepend=-1) != 0]
-    # a pair is a Q_m edge iff its ends differ in exactly one bit; they differ
-    # in some bit, as an edge joins two vertices and the relabeling is one-to-one
-    flip = (keys >> m) ^ (keys & ((1 << m) - 1))
-    present = int(np.count_nonzero((flip & (flip - 1)) == 0))
-    extra, missing = keys.size - present, (m << (m - 1)) - present
+    del images
+    # the relabeling is one-to-one, so distinct edges have distinct image
+    # pairs, and the ends of each differ in some bit: a pair is a Q_m edge
+    # iff they differ in exactly one
+    count = present = 0
+    for lows, moves in edges:
+        flip = drop_target_bit(lows ^ moves, n, target)
+        flip ^= drop_target_bit(lows, n, target)
+        count += flip.size
+        present += int(np.count_nonzero((flip & (flip - 1)) == 0))
+        del lows, flip  # freed before the next run is built
+    extra, missing = count - present, (m << (m - 1)) - present
     if extra or missing:
         return f"edge sets differ after relabeling: {extra} extra, {missing} missing"
     return None
 
 
 def is_connected(graph: ClassGraph) -> bool:
-    """Breadth-first reachability over the class edges."""
+    """Breadth-first reachability over the class edges, for at most
+    `MAX_GRAPH_QUBITS` qubits."""
+    _check_graph_qubits(graph.n_qubits)
     if not graph.vertices:
         return True
     adjacency: dict[int, list[int]] = {v: [] for v in graph.vertices}
@@ -237,7 +279,8 @@ def intersection_summary(partition: PhasePartition) -> IntersectionSummary:
     for q in range(1, n + 1):
         halves = agree.reshape(1 << (q - 1), 2, -1)
         crossing += int(np.count_nonzero(halves[:, 0] != halves[:, 1]))
-    shared = len(partition.class_phi1 & partition.class_phi2)
+    # the classes are the mask and its complement: shared vertices are counted there
+    shared = int(np.count_nonzero(agree & ~agree))
     return IntersectionSummary(shared, crossing, n << (n - 1))
 
 

@@ -8,13 +8,13 @@ diagonal (control-target) moves dashed.
 """
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bits import (bitstring, cube_edges, label_fields, qubit_mask, row_blocks, table_text,
-                   vocabulary)
+from .bits import (bitstring, cube_edge_blocks, cube_edges, label_fields, qubit_mask,
+                   row_blocks, table_text, vocabulary)
 from .phase_partition import PhasePartition, class_graph
 from .statevec import GatePlacement
 
@@ -26,7 +26,7 @@ DEFAULT_PHI2_COLOR = "#d62728"
 DEFAULT_AMBIENT_COLOR = "#999999"
 
 PROJECTIONS = {"square": 2, "cube-isometric": 3, "tesseract-nested": 4}
-MAX_DOT_QUBITS = 20  # `render --format dot` peaks at 531 MiB at n = 20, 1067 MiB at n = 21
+MAX_DOT_QUBITS = 20  # bounds the file, 610 MiB at n = 20; the run peaks at about 50 MiB
 
 _ISO_AXES = ((1.0, 0.0), (0.5, -0.5), (0.0, -1.0))
 _ISO_CENTER = (0.75, -0.75)
@@ -175,9 +175,10 @@ def _check_dot_qubits(n: int) -> None:
         raise ValueError(f"--n {n}: DOT output is capped at {MAX_DOT_QUBITS} qubits")
 
 
-def _edge_lines(ends: np.ndarray, n: int, tail: str) -> Iterator[str]:
-    """A `  "<low>" -- "<high>"<tail>` line per (low, high) row of `ends`, in blocks."""
-    for block in row_blocks(ends):
+def _edge_lines(blocks: Iterable[np.ndarray], n: int, tail: str) -> Iterator[str]:
+    """A `  "<low>" -- "<high>"<tail>` line per (low, high) row of each block
+    of up to `_TEXT_BLOCK` rows, a text block per block."""
+    for block in blocks:
         yield table_text(['  "', *label_fields(block[:, 0], n), '" -- "',
                           *label_fields(block[:, 1], n), '"' + tail])
 
@@ -193,12 +194,12 @@ def _dot_blocks(partition: PhasePartition) -> Iterator[str]:
     for vertices in row_blocks(np.arange(1 << n)):
         yield table_text(['  "', *label_fields(vertices, n), '" [fillcolor="',
                           (colors, agree[vertices]), '"];\n'])
-    yield from _edge_lines(cube_edges(n), n, ";\n")
+    yield from _edge_lines(cube_edge_blocks(n), n, ";\n")
     diagonal = qubit_mask(placement.control, n) | qubit_mask(placement.target, n)
     for members, color in ((agree, DEFAULT_PHI1_COLOR), (~agree, DEFAULT_PHI2_COLOR)):
         lows = np.flatnonzero(members)
         lows = lows[lows < lows ^ diagonal]
-        yield from _edge_lines(np.column_stack((lows, lows ^ diagonal)), n,
+        yield from _edge_lines(row_blocks(np.column_stack((lows, lows ^ diagonal))), n,
                                f' [style=dashed, color="{color}"];\n')
     yield '}\n'
 

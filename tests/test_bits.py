@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from helpers import hypercube_edges
 from toricgate import bits
-from toricgate.bits import (_TEXT_BLOCK, bit_at, bitstring, cube_edges, float_tokens, index_of,
-                            indices_of, label_fields, pair_view, qubit_mask, row_blocks,
-                            table_text)
+from toricgate.bits import (_TEXT_BLOCK, bit_at, bitstring, cube_edge_blocks, cube_edges,
+                            float_tokens, index_of, indices_of, label_fields, pair_view,
+                            qubit_mask, row_blocks, table_text)
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
@@ -23,6 +23,15 @@ def test_cube_edges_match_oracle(n):
 
 def test_cube_edges_of_the_point():
     assert cube_edges(0).shape == (0, 2)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 9, 10, 13, 14])
+def test_cube_edge_blocks_are_the_edge_table_in_full_blocks(n):
+    # from n = 10 on, the edges of one range of low ends span several blocks
+    blocks = list(cube_edge_blocks(n))
+    assert all(len(block) == _TEXT_BLOCK for block in blocks[:-1])
+    assert all(0 < len(block) <= _TEXT_BLOCK for block in blocks)
+    assert [tuple(e) for block in blocks for e in block.tolist()] == sorted(hypercube_edges(n))
 
 
 def test_qubit_mask_and_bit_at_follow_the_string_order():

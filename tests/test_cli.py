@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -13,9 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_fan_stdout
+from helpers import cube_match_oracle, reference_fan_stdout
 from toricgate.cli import main
-from toricgate.phase_partition import partition_to_text, partition_vertices
+from toricgate.phase_partition import (class_graph, is_hypercube_isomorphic, partition_to_text,
+                                       partition_vertices)
 from toricgate.render import (MAX_DOT_QUBITS, RenderSpec, render_partition_dot,
                               render_partition_svg)
 from toricgate.spin_model import DiagonalTwoQubitGate
@@ -228,6 +230,44 @@ def test_partition_check_hypercube_digest(n, control, target):
                            "--target", str(target), "--check-hypercube"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PARTITION_DIGESTS[n, control, target]
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.integers(2, 9))
+def test_check_hypercube_verdicts_match_the_graph_check_and_the_oracle(n):
+    for control in range(1, n + 1):
+        for target in range(1, n + 1):
+            if control == target:
+                continue
+            code, out, _ = invoke(["partition", "--n", str(n), "--control", str(control),
+                                   "--target", str(target), "--check-hypercube"])
+            assert code == 0
+            partition = partition_vertices(n, GatePlacement(control, target))
+            want = []
+            for which in ("phi1", "phi2"):
+                graph = class_graph(partition, which)
+                match = is_hypercube_isomorphic(graph)
+                oracle = cube_match_oracle(n, target, graph.vertices, graph.edges)
+                assert (match.is_isomorphic, match.failure) == oracle == (True, None)
+                want.append(f"{which} isomorphic to Q{n - 1}: yes\n")
+            assert out.splitlines(keepends=True)[3:] == [*want, f"crossing edges: {2 ** n}\n"]
+
+
+def test_check_hypercube_streams_its_output(tmp_path):
+    path = tmp_path / "out.txt"
+    argv = ["partition", "--n", "16", "--control", "3", "--target", "11", "--check-hypercube"]
+    with open(path, "w") as out, redirect_stdout(out):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert path.read_text().endswith("phi2 isomorphic to Q15: yes\ncrossing edges: 65536\n")
+    # the text is 1.1 MB; each class is 256 KiB of int64 indices
+    assert peak < path.stat().st_size
 
 
 def test_fan_output():

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from helpers import cube_match_oracle, hypercube_edges, reference_partition_text, xnor_class
 from toricgate.bits import bitstring
-from toricgate.phase_partition import (ClassGraph, PhasePartition, class_graph,
-                                       drop_target_bit, intersection_summary,
+from toricgate.phase_partition import (MAX_GRAPH_QUBITS, ClassGraph, PhasePartition,
+                                       class_graph, drop_target_bit, intersection_summary,
                                        is_connected, is_hypercube_isomorphic,
                                        partition_to_text, partition_vertices)
 from toricgate.spin_model import DiagonalTwoQubitGate
@@ -137,6 +137,32 @@ def test_partition_classes_must_be_the_agreement_sets():
     assert PhasePartition(3, placement, agree, differ) == p
 
 
+@pytest.mark.parametrize("n,control,target", [(2, 1, 2), (3, 2, 1), (5, 4, 2), (9, 3, 7)])
+def test_library_and_hand_built_partitions_are_one_value(n, control, target):
+    placement = GatePlacement(control, target)
+    built = partition_vertices(n, placement)
+    assert "class_phi1" not in vars(built) and "class_phi2" not in vars(built)
+    hand = PhasePartition(n, placement, frozenset(xnor_class(n, control, target, True)),
+                          frozenset(xnor_class(n, control, target, False)))
+    assert built == hand and hand == built
+    assert hash(built) == hash(hand)
+    assert repr(built) == repr(hand)
+    # the sets built on first read are the agreement sets, and built once
+    fresh = partition_vertices(n, placement)
+    assert fresh.class_phi2 == xnor_class(n, control, target, False)
+    assert fresh.class_phi1 == xnor_class(n, control, target, True)
+    assert fresh.class_phi1 is fresh.class_phi1
+    assert np.array_equal(fresh._agree, hand._agree)
+
+
+def test_a_partition_lacks_other_attributes():
+    p = partition_vertices(3, GatePlacement(1, 2))
+    with pytest.raises(AttributeError, match="no attribute 'class_phi3'"):
+        p.class_phi3
+    with pytest.raises(AttributeError):
+        object.__new__(PhasePartition).class_phi1
+
+
 def test_class_graph_n2():
     p = partition_vertices(2, GatePlacement(1, 2))
     g = class_graph(p, "phi1")
@@ -174,6 +200,53 @@ def test_class_graph_regular_and_connected():
                     degree[u] += 1
                     degree[v] += 1
                 assert set(degree.values()) == {n - 1}
+
+
+def test_class_graph_edges_come_in_ascending_order():
+    for n, control, target in [(5, 4, 2), (7, 1, 7), (8, 6, 3)]:
+        p = partition_vertices(n, GatePlacement(control, target))
+        for which in ("phi1", "phi2"):
+            g = class_graph(p, which)
+            assert list(g.edges) == sorted(set(g.edges))
+
+
+def test_class_graphs_are_capped_before_anything_is_built():
+    # at the cap the check passes; one above it, each entry point refuses
+    # before the vertex or edge tuples, or the adjacency, are built
+    placement = GatePlacement(1, 2)
+    above = MAX_GRAPH_QUBITS + 1
+    message = f"^n_qubits {above}: class graphs are capped at {MAX_GRAPH_QUBITS} qubits$"
+    p = partition_vertices(above, placement)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=message):
+            class_graph(p, "phi1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 16
+    with pytest.raises(ValueError, match=message):
+        ClassGraph(above, placement, "phi1", (), ())
+    unchecked = object.__new__(ClassGraph)
+    unchecked.__dict__.update(n_qubits=above, placement=placement, phase_class="phi1",
+                              vertices=(0,), edges=())
+    with pytest.raises(ValueError, match=message):
+        is_connected(unchecked)
+    # at the cap the refusal does not fire: the next check does
+    with pytest.raises(ValueError, match="every vertex must have degree"):
+        ClassGraph(MAX_GRAPH_QUBITS, placement, "phi1", (0,), ())
+    unchecked.__dict__.update(n_qubits=MAX_GRAPH_QUBITS)
+    assert is_connected(unchecked)
+
+
+def test_hypercube_match_counts_a_repeated_edge_once():
+    # a repeated edge keeps the degrees the repeat would need: (0, 1) and
+    # (6, 7) twice each, against Q2's four edges
+    g = ClassGraph(3, GatePlacement(1, 2), "phi1", vertices=(0, 1, 6, 7),
+                   edges=((0, 1), (0, 1), (6, 7), (6, 7)))
+    match = is_hypercube_isomorphic(g)
+    assert (match.is_isomorphic, match.failure) == cube_match_oracle(3, 2, g.vertices, g.edges)
+    assert match.failure == "edge sets differ after relabeling: 0 extra, 2 missing"
 
 
 def test_drop_target_bit():

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -8,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import reference_dot_text
+from toricgate.bits import cube_edges
 from toricgate.phase_partition import partition_vertices
-from toricgate.render import (PROJECTIONS, RenderSpec, project_vertex,
+from toricgate.render import (PROJECTIONS, RenderSpec, _dot_blocks, project_vertex,
                               render_partition_dot, render_partition_svg)
 from toricgate.statevec import GatePlacement
 
@@ -181,8 +183,25 @@ def test_dot_refuses_more_qubits_than_its_cap(monkeypatch):
         raise AssertionError("built before the cap was checked")
     monkeypatch.setattr("toricgate.render.label_fields", refuse)
     monkeypatch.setattr("toricgate.render.cube_edges", refuse)
+    monkeypatch.setattr("toricgate.render.cube_edge_blocks", refuse)
     with pytest.raises(ValueError, match=r"^--n 5: DOT output is capped at 4 qubits$"):
         _dot(5)
+
+
+def test_dot_builds_its_edges_a_block_at_a_time():
+    # the whole (n * 2^(n-1), 2) edge table, which the text once took in one
+    # piece, is larger than the peak of writing the text
+    n = 15
+    partition = partition_vertices(n, GatePlacement(1, 2))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        size = sum(map(len, _dot_blocks(partition)))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert size > 12 * 2 ** 20
+    assert peak < cube_edges(n).nbytes
 
 
 def test_dot_node_order_binary_ascending():
