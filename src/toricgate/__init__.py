@@ -7,8 +7,7 @@ from .phase_partition import (ClassGraph, HypercubeMatch, IntersectionSummary,
                               intersection_summary, is_connected,
                               is_hypercube_isomorphic, partition_to_text,
                               partition_vertices)
-from .render import (PROJECTIONS, RenderSpec, project_vertex,
-                     render_partition_dot, render_partition_svg)
+from .render import PROJECTIONS, project_vertex, render_partition_dot, render_partition_svg
 from .spin_model import (BerryPhaseResult, DegenerateDrive, DiagonalTwoQubitGate,
                          PhysicalParams, berry_phases, cphase_gate,
                          hamiltonian_diagonal, transition_frequencies)
@@ -39,6 +38,6 @@ __all__ = [
     "PhasePartition", "ClassGraph", "HypercubeMatch", "IntersectionSummary",
     "partition_vertices", "class_graph", "is_hypercube_isomorphic", "is_connected",
     "intersection_summary", "drop_target_bit", "partition_to_text",
-    "RenderSpec", "PROJECTIONS", "project_vertex",
+    "PROJECTIONS", "project_vertex",
     "render_partition_svg", "render_partition_dot",
 ]

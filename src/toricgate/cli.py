@@ -16,8 +16,7 @@ from pathlib import Path
 
 from .phase_partition import (_check_qubit_count, _class_arrays, _hypercube_failure,
                               _partition_blocks, intersection_summary, partition_vertices)
-from .render import (RenderSpec, _check_dot_qubits, _dot_blocks, _svg_projection,
-                     render_partition_svg)
+from .render import _check_dot_qubits, _dot_blocks, _svg_projection, render_partition_svg
 from .spin_model import (BerryPhaseResult, DegenerateDrive, DiagonalTwoQubitGate,
                          PhysicalParams, berry_phases, cphase_gate)
 from .statevec import (GatePlacement, _state_blocks, apply_cphase, concurrence,
@@ -169,7 +168,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
     if args.format == "svg":
         _named_n(args.n, _svg_projection)
         partition = partition_vertices(args.n, placement)
-        blocks = [render_partition_svg(partition, RenderSpec.for_partition(partition))]
+        blocks = [render_partition_svg(partition)]
     else:
         _check_dot_qubits(args.n)
         _named_n(args.n, _check_qubit_count)

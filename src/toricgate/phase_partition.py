@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,42 +32,26 @@ class PhasePartition:
     """The two phase classes induced by one gate placement.
 
     Vertices are basis indices with qubit 1 as the most significant bit,
-    mirroring the state-vector convention. `class_phi1` must be the indices
-    whose control and target bits agree and `class_phi2` the rest; the
-    agreement mask behind that check is kept as the read-only `_agree`, the
-    one source the counts, texts and drawings are made from. A partition from
-    `partition_vertices` holds only that mask and builds each class set the
-    first time it is read.
+    mirroring the state-vector convention. The classes follow from the two
+    fields: `class_phi1` holds the indices whose control and target bits agree
+    and `class_phi2` the rest. The agreement mask is kept as the read-only
+    `_agree`, the one source the counts, texts and drawings are made from;
+    each class set is built from it the first time it is read.
     """
 
     n_qubits: int
     placement: GatePlacement
-    class_phi1: frozenset[int]
-    class_phi2: frozenset[int]
 
     def __post_init__(self) -> None:
-        n = self.n_qubits
-        half = 1 << (n - 1)
-        if len(self.class_phi1) != half or len(self.class_phi2) != half:
-            raise ValueError("each phase class must hold exactly half the vertices")
-        if not self.class_phi1.isdisjoint(self.class_phi2):
-            raise ValueError("phase classes must be disjoint")
-        if (min(min(self.class_phi1), min(self.class_phi2)) < 0
-                or max(max(self.class_phi1), max(self.class_phi2)) >= 1 << n):
-            raise ValueError("class members must be n-bit indices")
-        agree = _agreement_mask(n, self.placement)
-        if not agree[np.fromiter(self.class_phi1, dtype=np.int64, count=half)].all():
-            raise ValueError("phase classes must be the agreement sets of the placement")
-        object.__setattr__(self, "_agree", agree)
+        object.__setattr__(self, "_agree", _agreement_mask(self.n_qubits, self.placement))
 
-    def __getattr__(self, name: str) -> frozenset[int]:
-        # only reached for a class set that `partition_vertices` has not built yet
-        if name not in ("class_phi1", "class_phi2") or "_agree" not in self.__dict__:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        agree = self.__dict__["_agree"]
-        members = frozenset(np.flatnonzero(agree if name == "class_phi1" else ~agree).tolist())
-        object.__setattr__(self, name, members)
-        return members
+    @cached_property
+    def class_phi1(self) -> frozenset[int]:
+        return frozenset(np.flatnonzero(self._agree).tolist())
+
+    @cached_property
+    def class_phi2(self) -> frozenset[int]:
+        return frozenset(np.flatnonzero(~self._agree).tolist())
 
 
 @dataclass(frozen=True)
@@ -74,7 +59,9 @@ class ClassGraph:
     """One phase class with free-bit edges plus the control-target diagonal.
 
     Edges are (low, high) index pairs; every vertex has degree n-1. Graphs
-    of more than `MAX_GRAPH_QUBITS` qubits are refused.
+    of more than `MAX_GRAPH_QUBITS` qubits are refused. The validated arrays
+    are kept as the read-only `_verts` (distinct, ascending) and `_ends` (one
+    row per edge) that `is_hypercube_isomorphic` reads.
     """
 
     n_qubits: int
@@ -99,6 +86,9 @@ class ClassGraph:
         degree = np.bincount(np.searchsorted(verts, ends).ravel(), minlength=verts.size)
         if (degree != want).any():
             raise ValueError(f"every vertex must have degree {want}")
+        verts.flags.writeable = ends.flags.writeable = False
+        object.__setattr__(self, "_verts", verts)
+        object.__setattr__(self, "_ends", ends)
 
     def diagonal_mask(self) -> int:
         n = self.n_qubits
@@ -152,14 +142,8 @@ def _agreement_mask(n_qubits: int, placement: GatePlacement) -> np.ndarray:
 
 
 def partition_vertices(n_qubits: int, placement: GatePlacement) -> PhasePartition:
-    """Split the n-bit strings by agreement of the control and target bits
-    (the mask taken as built; a class set is built when first read)."""
-    agree = _agreement_mask(n_qubits, placement)
-    if np.count_nonzero(agree) != 1 << (n_qubits - 1):
-        raise ValueError("each phase class must hold exactly half the vertices")
-    partition = object.__new__(PhasePartition)
-    partition.__dict__.update(n_qubits=n_qubits, placement=placement, _agree=agree)
-    return partition
+    """Split the n-bit strings by agreement of the control and target bits."""
+    return PhasePartition(n_qubits, placement)
 
 
 def _class_arrays(partition: PhasePartition, which: str
@@ -208,8 +192,7 @@ def is_hypercube_isomorphic(graph: ClassGraph) -> HypercubeMatch:
     certificate as well.
     """
     n, target = graph.n_qubits, graph.placement.target
-    verts = np.unique(np.array(graph.vertices, dtype=np.int64))
-    ends = np.array(graph.edges, dtype=np.int64).reshape(-1, 2)
+    verts, ends = graph._verts, graph._ends
     keys = np.unique(ends[:, 0] << n | ends[:, 1])  # the distinct edges
     lows, highs = keys >> n, keys & ((1 << n) - 1)
     failure = _hypercube_failure(n, target, verts, [(lows, lows ^ highs)])
@@ -277,11 +260,10 @@ def intersection_summary(partition: PhasePartition) -> IntersectionSummary:
     n, agree = partition.n_qubits, partition._agree
     crossing = 0
     for q in range(1, n + 1):
-        halves = agree.reshape(1 << (q - 1), 2, -1)
+        halves = agree.reshape(-1, 2, qubit_mask(q, n))
         crossing += int(np.count_nonzero(halves[:, 0] != halves[:, 1]))
-    # the classes are the mask and its complement: shared vertices are counted there
-    shared = int(np.count_nonzero(agree & ~agree))
-    return IntersectionSummary(shared, crossing, n << (n - 1))
+    # the classes are the mask and its complement, so they share no vertex
+    return IntersectionSummary(0, crossing, n << (n - 1))
 
 
 def _partition_blocks(partition: PhasePartition) -> Iterator[str]:

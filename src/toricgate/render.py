@@ -3,27 +3,25 @@
 Output is byte-reproducible: vertices are walked in ascending index order,
 edges in sorted order, and every coordinate is printed with a fixed format.
 The SVG canvas is an 800x800 viewBox with a 40 px margin; the ambient cube
-skeleton is drawn in neutral gray with the two class structures on top,
-diagonal (control-target) moves dashed.
+skeleton is drawn in neutral gray, 1.5 wide, with the two class structures on
+top, 3 wide, diagonal (control-target) moves dashed.
 """
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .bits import (bitstring, cube_edge_blocks, cube_edges, label_fields, qubit_mask,
                    row_blocks, table_text, vocabulary)
 from .phase_partition import PhasePartition, class_graph
-from .statevec import GatePlacement
 
 CANVAS = 800.0
 MARGIN = 40.0
 LABEL_SIZE = 14
-DEFAULT_PHI1_COLOR = "#1f77b4"
-DEFAULT_PHI2_COLOR = "#d62728"
-DEFAULT_AMBIENT_COLOR = "#999999"
+PHI1_COLOR = "#1f77b4"
+PHI2_COLOR = "#d62728"
+AMBIENT_COLOR = "#999999"
 
 PROJECTIONS = {"square": 2, "cube-isometric": 3, "tesseract-nested": 4}
 MAX_DOT_QUBITS = 20  # bounds the file, 610 MiB at n = 20; the run peaks at about 50 MiB
@@ -33,39 +31,8 @@ _ISO_CENTER = (0.75, -0.75)
 _INNER_SCALE = 0.5
 
 
-@dataclass(frozen=True)
-class RenderSpec:
-    """Figure parameters: which cube, which placement, and how to draw it."""
-
-    n_qubits: int
-    placement: GatePlacement
-    projection: str
-    color_phi1: str = DEFAULT_PHI1_COLOR
-    color_phi2: str = DEFAULT_PHI2_COLOR
-    ambient_color: str = DEFAULT_AMBIENT_COLOR
-    ambient_stroke: float = 1.5
-    class_stroke: float = 3.0
-
-    def __post_init__(self) -> None:
-        if self.projection not in PROJECTIONS:
-            raise ValueError(f"unknown projection {self.projection!r}")
-        if PROJECTIONS[self.projection] != self.n_qubits:
-            raise ValueError(
-                f"projection {self.projection!r} draws "
-                f"{PROJECTIONS[self.projection]} qubits, not {self.n_qubits}")
-        if not (0 < self.ambient_stroke < np.inf and 0 < self.class_stroke < np.inf):
-            raise ValueError("stroke widths must be positive")
-
-    @classmethod
-    def for_partition(cls, partition: PhasePartition, **overrides) -> "RenderSpec":
-        """Spec with the default projection for the partition's qubit count."""
-        spec = cls(partition.n_qubits, partition.placement,
-                   _svg_projection(partition.n_qubits))
-        return replace(spec, **overrides) if overrides else spec
-
-
 def _svg_projection(n_qubits: int) -> str:
-    """The default projection of an n-qubit SVG, or ValueError for none."""
+    """The projection of an n-qubit SVG, or ValueError for none."""
     by_n = {n: name for name, n in PROJECTIONS.items()}
     if n_qubits not in by_n:
         raise ValueError(f"no SVG projection for {n_qubits} qubits (supported: 2, 3, 4)")
@@ -122,14 +89,13 @@ def _fmt(value: float) -> str:
     return f"{value:.3f}"
 
 
-def render_partition_svg(partition: PhasePartition, spec: RenderSpec) -> str:
-    """Standalone SVG of the partitioned cube skeleton under `spec`."""
-    if spec.n_qubits != partition.n_qubits or spec.placement != partition.placement:
-        raise ValueError("render spec does not match the partition")
+def render_partition_svg(partition: PhasePartition) -> str:
+    """Standalone SVG of the partitioned cube skeleton, for 2, 3 or 4 qubits
+    (the square, isometric cube or nested tesseract of `PROJECTIONS`)."""
     n = partition.n_qubits
-    points = _canvas_points(n, spec.projection)
+    points = _canvas_points(n, _svg_projection(n))
     graphs = (class_graph(partition, "phi1"), class_graph(partition, "phi2"))
-    colors = (spec.color_phi1, spec.color_phi2)
+    colors = (PHI1_COLOR, PHI2_COLOR)
 
     out = [
         '<svg xmlns="http://www.w3.org/2000/svg" width="800" height="800" '
@@ -137,8 +103,7 @@ def render_partition_svg(partition: PhasePartition, spec: RenderSpec) -> str:
         f'  <title>phase classes of the {n}-cube, control '
         f'{partition.placement.control}, target {partition.placement.target}</title>',
     ]
-    out.append(f'  <g stroke="{spec.ambient_color}" '
-               f'stroke-width="{_fmt(spec.ambient_stroke)}">')
+    out.append(f'  <g stroke="{AMBIENT_COLOR}" stroke-width="1.500">')
     for u, v in cube_edges(n):
         (x1, y1), (x2, y2) = points[u], points[v]
         out.append(f'    <line x1="{_fmt(x1)}" y1="{_fmt(y1)}" '
@@ -146,7 +111,7 @@ def render_partition_svg(partition: PhasePartition, spec: RenderSpec) -> str:
     out.append('  </g>')
     for graph, color in zip(graphs, colors):
         mask = graph.diagonal_mask()
-        out.append(f'  <g stroke="{color}" stroke-width="{_fmt(spec.class_stroke)}">')
+        out.append(f'  <g stroke="{color}" stroke-width="3.000">')
         for u, v in graph.edges:
             (x1, y1), (x2, y2) = points[u], points[v]
             dash = ' stroke-dasharray="8 6"' if u ^ v == mask else ''
@@ -155,7 +120,7 @@ def render_partition_svg(partition: PhasePartition, spec: RenderSpec) -> str:
         out.append('  </g>')
     out.append('  <g stroke="none">')
     for v, agree in enumerate(partition._agree.tolist()):
-        color = spec.color_phi1 if agree else spec.color_phi2
+        color = PHI1_COLOR if agree else PHI2_COLOR
         x, y = points[v]
         out.append(f'    <circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="10" fill="{color}"/>')
     out.append('  </g>')
@@ -190,13 +155,13 @@ def _dot_blocks(partition: PhasePartition) -> Iterator[str]:
     yield (f'graph "partition_n{n}_c{placement.control}_t{placement.target}" {{\n'
            '  node [shape=circle, style=filled, fontname="monospace"];\n')
     agree = partition._agree
-    colors = vocabulary((DEFAULT_PHI2_COLOR, DEFAULT_PHI1_COLOR))  # indexed by agreement
+    colors = vocabulary((PHI2_COLOR, PHI1_COLOR))  # indexed by agreement
     for vertices in row_blocks(np.arange(1 << n)):
         yield table_text(['  "', *label_fields(vertices, n), '" [fillcolor="',
                           (colors, agree[vertices]), '"];\n'])
     yield from _edge_lines(cube_edge_blocks(n), n, ";\n")
     diagonal = qubit_mask(placement.control, n) | qubit_mask(placement.target, n)
-    for members, color in ((agree, DEFAULT_PHI1_COLOR), (~agree, DEFAULT_PHI2_COLOR)):
+    for members, color in ((agree, PHI1_COLOR), (~agree, PHI2_COLOR)):
         lows = np.flatnonzero(members)
         lows = lows[lows < lows ^ diagonal]
         yield from _edge_lines(row_blocks(np.column_stack((lows, lows ^ diagonal))), n,

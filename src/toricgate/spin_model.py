@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 
 class DegenerateDrive(ValueError):
@@ -37,27 +37,16 @@ class PhysicalParams:
     coupling_j: float
     drive_omega: float
     drive_omega1: float
-    allow_equal_spins: InitVar[bool] = False
 
-    def __post_init__(self, allow_equal_spins: bool) -> None:
+    def __post_init__(self) -> None:
         values = (self.omega_i, self.omega_j, self.coupling_j,
                   self.drive_omega, self.drive_omega1)
         if not all(math.isfinite(float(v)) for v in values):
             raise ValueError("physical parameters must be finite")
-        if allow_equal_spins:
-            if self.omega_i < self.omega_j:
-                raise ValueError("omega_i must be at least omega_j")
-        elif self.omega_i <= self.omega_j:
+        if self.omega_i <= self.omega_j:
             raise ValueError("omega_i must exceed omega_j (spins must be distinguishable)")
         if self.drive_omega1 < 0:
             raise ValueError("drive_omega1 must be nonnegative")
-
-    @classmethod
-    def relaxed(cls, omega_i: float, omega_j: float, coupling_j: float,
-                drive_omega: float, drive_omega1: float) -> "PhysicalParams":
-        """Constructor that permits omega_i == omega_j, for degenerate setups."""
-        return cls(omega_i, omega_j, coupling_j, drive_omega, drive_omega1,
-                   allow_equal_spins=True)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from toricgate.cli import main
 from toricgate.phase_partition import (class_graph, intersection_summary,
                                        is_connected, is_hypercube_isomorphic,
                                        partition_vertices)
-from toricgate.render import RenderSpec, render_partition_dot, render_partition_svg
+from toricgate.render import render_partition_dot, render_partition_svg
 from toricgate.spin_model import (DiagonalTwoQubitGate, PhysicalParams,
                                   berry_phases, cphase_gate)
 from toricgate.statevec import (GatePlacement, StateVector, apply_cphase,
@@ -242,8 +242,7 @@ def test_criterion_10_render_determinism(tmp_path):
                 assert first == second
                 golden = (GOLDEN / f"partition_n{n}.{kind}").read_bytes()
                 assert first == golden
-            svg = render_partition_svg(partition,
-                                       RenderSpec.for_partition(partition))
+            svg = render_partition_svg(partition)
             root = ET.fromstring(svg)
             ns = "{http://www.w3.org/2000/svg}"
             circles = len(list(root.iter(f"{ns}circle")))

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -18,8 +19,7 @@ from helpers import cube_match_oracle, reference_fan_stdout
 from toricgate.cli import main
 from toricgate.phase_partition import (class_graph, is_hypercube_isomorphic, partition_to_text,
                                        partition_vertices)
-from toricgate.render import (MAX_DOT_QUBITS, RenderSpec, render_partition_dot,
-                              render_partition_svg)
+from toricgate.render import MAX_DOT_QUBITS, render_partition_dot, render_partition_svg
 from toricgate.spin_model import DiagonalTwoQubitGate
 from toricgate.statevec import (GatePlacement, apply_cphase, state_from_text, state_to_text,
                                 uniform_superposition)
@@ -322,7 +322,7 @@ def test_render_svg(tmp_path):
     assert code == 0
     assert str(out_path) in out
     p = partition_vertices(3, GatePlacement(1, 2))
-    assert out_path.read_text() == render_partition_svg(p, RenderSpec.for_partition(p))
+    assert out_path.read_text() == render_partition_svg(p)
 
 
 def test_render_dot(tmp_path):
@@ -472,3 +472,71 @@ def test_console_script():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("n=2")
+
+
+# The argv property: every subcommand, with flags drawn absent or set to ints
+# that are huge, negative or 0, floats that are nan, ±inf or 1e308, and paths
+# that are missing, a directory, non-UTF-8 or a truncated state file. Valid
+# values stay at n <= 12, so that each run is small.
+_INTS = [str(2 ** 63), "99999999999999999999", "-99999999999999999999", "-7", "-1",
+         *map(str, range(6)), "12"]
+_FLOATS = ["nan", "inf", "-inf", "1e308", "-1e308", "0", "-2.5", "1e-300", "0.3", "1",
+           "2.5", "4", "10", "12.5"]
+_PATHS = ["state", "truncated", "non-utf8", "directory", "missing", "empty"]
+_DRIVE = ("--omega-i", "--omega-j", "--j", "--omega", "--omega1")
+_ARGV_FLAGS = {  # each subcommand's flags (the drive flags as one group) and their values
+    "gate": {_DRIVE: _FLOATS, ("--json",): None},
+    "apply": {("--n",): _INTS, ("--control",): _INTS, ("--target",): _INTS,
+              ("--phi1",): _FLOATS, _DRIVE: _FLOATS, ("--input",): _PATHS},
+    "concurrence": {("--input",): _PATHS, ("--phi1",): _FLOATS},
+    "partition": {("--n",): _INTS, ("--control",): _INTS, ("--target",): _INTS,
+                  ("--check-hypercube",): None},
+    "fan": {("--n",): _INTS},
+    "render": {("--n",): _INTS, ("--control",): _INTS, ("--target",): _INTS,
+               ("--format",): ["svg", "dot", "png"],
+               ("--out",): ["out", "directory", "no-dir/out"]},
+}
+
+
+@pytest.fixture(scope="module")
+def argv_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("argv")
+    state = state_to_text(uniform_superposition(3))
+    files = {"state": state, "truncated": state[:len(state) // 2], "empty": ""}
+    for name, text in files.items():
+        (root / name).write_text(text)
+    (root / "non-utf8").write_bytes(b"n=1\n0 \xff\xfe 0\n1 0 0\n")
+    (root / "directory").mkdir()
+    return {name: str(root / name) for name in [*_PATHS, "out", "no-dir/out"]}
+
+
+@pytest.mark.parametrize("command", sorted(_ARGV_FLAGS))
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_any_argv_exits_0_1_or_2_with_one_error_line(command, argv_paths, data):
+    argv = [command]
+    for flags, values in _ARGV_FLAGS[command].items():
+        if not data.draw(st.integers(0, 7), label=f"{flags[0]} given"):
+            continue  # one flag (or group) in eight is left out
+        for flag in flags:
+            if values is None:
+                argv.append(flag)
+            else:  # `--flag=value`, so that argparse reads "-inf" as a value
+                value = data.draw(st.sampled_from(values), label=flag)
+                argv.append(f"{flag}={argv_paths.get(value, value)}")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = invoke(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    assert not caught, [str(w.message) for w in caught]
+    if code == 0:
+        assert err == ""
+        return
+    # a nonzero exit writes nothing to stdout and one error line, after the
+    # usage message on a parse error
+    lines = err.splitlines()
+    assert out == ""
+    assert [line for line in lines if ": error: " in line] == lines[-1:]
+    assert lines[-1].startswith(("toricgate: error: ", f"toricgate {command}: error: "))
+    assert all(line.startswith(("usage: ", " ")) for line in lines[:-1])

@@ -92,49 +92,15 @@ def test_partition_input_validation():
         partition_vertices(25, GatePlacement(1, 2))
     with pytest.raises(ValueError):
         partition_vertices(3, GatePlacement(1, 4))
+    # n is checked before the placement
+    with pytest.raises(ValueError, match="^n_qubits must lie in 2..24$"):
+        PhasePartition(25, GatePlacement(1, 99))
 
 
-def test_class_sets_validated():
-    with pytest.raises(ValueError):
-        PhasePartition(2, GatePlacement(1, 2), frozenset({0, 3}), frozenset({1}))
-    with pytest.raises(ValueError):
-        PhasePartition(2, GatePlacement(1, 2), frozenset({0, 3}), frozenset({0, 1}))
-
-
-# (class_phi1, class_phi2, message) at n = 2, control 1, target 2, where the
-# agreement sets are {0, 3} and {1, 2}; each case pins which check fires first
-PARTITION_REJECTIONS = [
-    ({0, 3}, {1}, "each phase class must hold exactly half"),
-    ({0, 3}, {1, 2, 4}, "each phase class must hold exactly half"),
-    ({0, 3}, {0, 1}, "phase classes must be disjoint"),
-    ({0, -1}, {0, 4}, "phase classes must be disjoint"),
-    ({-1, 3}, {1, 2}, "class members must be n-bit indices"),
-    ({0, 3}, {1, 4}, "class members must be n-bit indices"),
-    ({0, 3}, {-1, 2}, "class members must be n-bit indices"),
-    ({4, 3}, {1, -2}, "class members must be n-bit indices"),
-    ({0, 4}, {1, 2}, "class members must be n-bit indices"),
-    ({1, 2}, {0, 3}, "phase classes must be the agreement sets"),
-]
-
-
-@pytest.mark.parametrize("phi1,phi2,message", PARTITION_REJECTIONS)
-def test_partition_rejection_messages(phi1, phi2, message):
-    with pytest.raises(ValueError, match=f"^{message}"):
-        PhasePartition(2, GatePlacement(1, 2), frozenset(phi1), frozenset(phi2))
-
-
-def test_partition_classes_must_be_the_agreement_sets():
-    placement = GatePlacement(1, 2)
-    p = partition_vertices(3, placement)
-    agree, differ = p.class_phi1, p.class_phi2
-    other = partition_vertices(3, GatePlacement(2, 3))
-    # right sizes, disjoint, in range: split on qubit 1 alone, the classes
-    # swapped, and another placement's classes
-    for phi1, phi2 in [(frozenset(range(4)), frozenset(range(4, 8))), (differ, agree),
-                       (other.class_phi1, other.class_phi2)]:
-        with pytest.raises(ValueError, match="agreement sets"):
-            PhasePartition(3, placement, phi1, phi2)
-    assert PhasePartition(3, placement, agree, differ) == p
+def test_class_sets_are_not_inputs():
+    # the classes follow from (n, placement): a partition takes no class sets
+    with pytest.raises(TypeError):
+        PhasePartition(2, GatePlacement(1, 2), frozenset({0, 3}), frozenset({1, 2}))
 
 
 @pytest.mark.parametrize("n,control,target", [(2, 1, 2), (3, 2, 1), (5, 4, 2), (9, 3, 7)])
@@ -142,17 +108,16 @@ def test_library_and_hand_built_partitions_are_one_value(n, control, target):
     placement = GatePlacement(control, target)
     built = partition_vertices(n, placement)
     assert "class_phi1" not in vars(built) and "class_phi2" not in vars(built)
-    hand = PhasePartition(n, placement, frozenset(xnor_class(n, control, target, True)),
-                          frozenset(xnor_class(n, control, target, False)))
+    hand = PhasePartition(n, placement)
     assert built == hand and hand == built
     assert hash(built) == hash(hand)
-    assert repr(built) == repr(hand)
+    assert repr(built) == repr(hand) == f"PhasePartition(n_qubits={n}, placement={placement!r})"
+    assert built != partition_vertices(n, GatePlacement(target, control))
     # the sets built on first read are the agreement sets, and built once
-    fresh = partition_vertices(n, placement)
-    assert fresh.class_phi2 == xnor_class(n, control, target, False)
-    assert fresh.class_phi1 == xnor_class(n, control, target, True)
-    assert fresh.class_phi1 is fresh.class_phi1
-    assert np.array_equal(fresh._agree, hand._agree)
+    assert built.class_phi2 == xnor_class(n, control, target, False)
+    assert built.class_phi1 == xnor_class(n, control, target, True)
+    assert built.class_phi1 is built.class_phi1
+    assert np.array_equal(built._agree, hand._agree)
 
 
 def test_a_partition_lacks_other_attributes():

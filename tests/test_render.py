@@ -1,5 +1,4 @@
 import hashlib
-import math
 import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -11,8 +10,8 @@ from hypothesis import strategies as st
 from helpers import reference_dot_text
 from toricgate.bits import cube_edges
 from toricgate.phase_partition import partition_vertices
-from toricgate.render import (PROJECTIONS, RenderSpec, _dot_blocks, project_vertex,
-                              render_partition_dot, render_partition_svg)
+from toricgate.render import (PROJECTIONS, _dot_blocks, project_vertex, render_partition_dot,
+                              render_partition_svg)
 from toricgate.statevec import GatePlacement
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -21,8 +20,7 @@ SVG_NS = "{http://www.w3.org/2000/svg}"
 
 
 def _svg(n, control=1, target=2):
-    p = partition_vertices(n, GatePlacement(control, target))
-    return render_partition_svg(p, RenderSpec.for_partition(p))
+    return render_partition_svg(partition_vertices(n, GatePlacement(control, target)))
 
 
 def _dot(n, control=1, target=2):
@@ -66,35 +64,11 @@ def test_project_validation():
         project_vertex("00", "hexagonal")
 
 
-def test_render_spec_validation():
-    placement = GatePlacement(1, 2)
-    with pytest.raises(ValueError):
-        RenderSpec(3, placement, "square")
-    with pytest.raises(ValueError):
-        RenderSpec(2, placement, "nonsense")
-    for field in ("ambient_stroke", "class_stroke"):
-        # NaN and inf are no widths: the SVG would read stroke-width="nan"
-        for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError, match="^stroke widths must be positive$"):
-                RenderSpec(2, placement, "square", **{field: bad})
-
-
-def test_render_spec_defaults():
-    p = partition_vertices(3, GatePlacement(1, 3))
-    spec = RenderSpec.for_partition(p)
-    assert spec.projection == "cube-isometric"
-    assert spec.color_phi1 == "#1f77b4"
-    assert spec.color_phi2 == "#d62728"
-    assert spec.ambient_color == "#999999"
-    with pytest.raises(ValueError):
-        RenderSpec.for_partition(partition_vertices(5, GatePlacement(1, 2)))
-
-
-def test_render_spec_must_match_partition():
-    p2 = partition_vertices(2, GatePlacement(1, 2))
-    spec3 = RenderSpec.for_partition(partition_vertices(3, GatePlacement(1, 2)))
-    with pytest.raises(ValueError):
-        render_partition_svg(p2, spec3)
+def test_svg_refuses_a_qubit_count_without_a_projection():
+    assert 5 not in PROJECTIONS.values()
+    with pytest.raises(ValueError,
+                       match=r"^no SVG projection for 5 qubits \(supported: 2, 3, 4\)$"):
+        _svg(5)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -21,11 +21,6 @@ def test_hamiltonian_diagonal_example():
     assert hamiltonian_diagonal(p) == (1.5, 0.5, -0.5, -1.5)
 
 
-def test_hamiltonian_diagonal_all_zero():
-    p = PhysicalParams.relaxed(0.0, 0.0, 0.0, 0.0, 0.0)
-    assert hamiltonian_diagonal(p) == (0.0, 0.0, 0.0, 0.0)
-
-
 def test_hamiltonian_traceless():
     for wi, wj, j in [(3.0, 1.0, 0.7), (10.0, 2.5, -1.3), (5.5, 5.0, 100.0)]:
         diag = hamiltonian_diagonal(PhysicalParams(wi, wj, j, 1.0, 1.0))
@@ -124,13 +119,10 @@ def test_off_resonance_zero_amplitude_is_fine():
 
 
 def test_params_ordering_enforced():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^omega_i must exceed omega_j "):
         PhysicalParams(1.0, 1.0, 0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         PhysicalParams(1.0, 2.0, 0.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        PhysicalParams.relaxed(1.0, 2.0, 0.0, 1.0, 1.0)
-    PhysicalParams.relaxed(1.0, 1.0, 0.0, 1.0, 1.0)
 
 
 def test_params_reject_bad_values():
