@@ -19,6 +19,15 @@ from the double's bits through a double-double decimal scale per binade,
 filled on first use; a row whose rounding that scale cannot decide (a
 near-tie), and any zero, subnormal, inf or nan, is written by `'%.17g'`
 itself.
+
+Texts are read the other way in blocks of whole lines (`_line_blocks`), each
+laid out as one uint8 array whose whitespace is a space or a line break
+(`_tokens`). A token is read from the little-endian uint64 words that end or
+start where it does (`_words_at`): a bit string 8 characters to a word
+(`indices_of`), and a float token by the writer's inverse, `_float_values`,
+whose digits are read a word at a time and scaled exactly through a
+double-double power of ten filled on first use; a token outside that
+grammar, and a near-tie, is left to `float()`.
 """
 from __future__ import annotations
 
@@ -152,7 +161,7 @@ _DECADE = np.zeros(2047, np.int64)
 _NEXT_DECADE = np.zeros(2047, np.uint64)
 _SCALE_HI, _SCALE_LO = np.zeros(2 * 2047), np.zeros(2 * 2047)
 _FILLED = np.zeros(2047, bool)
-_TIE = 2.0 ** -30  # a computed fraction this close to 1/2 is left to '%.17g'
+_TIE = 2.0 ** -30  # a computed fraction this close to 1/2 is left to '%.17g' or float()
 _SPLIT = 2.0 ** 27 + 1  # Veltkamp's constant: halves a double into 26-bit parts
 
 
@@ -177,6 +186,13 @@ def _split(value: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     big = _SPLIT * value
     high = big - (big - value)
     return high, value - high
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's exact product: a * b rounded, and what the rounding left off."""
+    product = a * b
+    (a1, a2), (b1, b2) = _split(a), _split(b)
+    return product, ((a1 * b1 - product) + a1 * b2 + a2 * b1) + a2 * b2
 
 
 # A `%g` token is laid out from its row's alphabet: its 17 digits, then NUL,
@@ -261,9 +277,8 @@ def _decimal_digits(magnitude: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     exponent = _DECADE[biased] + up
     hi, lo = _SCALE_HI[2 * biased + up], _SCALE_LO[2 * biased + up]
     mantissa = ((magnitude & np.uint64(2 ** 52 - 1)) | np.uint64(2 ** 52)).astype(float)
-    product = mantissa * hi
-    (m1, m2), (h1, h2) = _split(mantissa), _split(hi)
-    rest = ((m1 * h1 - product) + m1 * h2 + m2 * h1) + m2 * h2 + mantissa * lo
+    product, rest = _product(mantissa, hi)
+    rest += mantissa * lo
     whole = np.floor(rest)
     fraction = rest - whole
     digits = product.astype(np.int64) + whole.astype(np.int64) + (fraction > 0.5)
@@ -290,6 +305,279 @@ def _alphabet(digits: np.ndarray, quads: np.ndarray,
     return alphabet, 17 - trailing
 
 
+# Reading a text: blocks of whole lines, laid out as byte tables.
+_LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # where str.splitlines breaks
+_PAD = 24  # spaces around a block's bytes: a float token is read 24 bytes back
+
+
+def _line_blocks(chunks: Iterable[str]) -> Iterator[tuple[str, int]]:
+    """Each chunk with the partial line the chunks before it left, and where
+    its last line break ends: the text before that is whole lines. A chunk
+    with no line break waits for the next, so a line may span chunks."""
+    pending: list[str] = []
+    for chunk in chunks:
+        pending.append(chunk)
+        newline = max(chunk.rfind("\n"), 0)  # the other breaks are looked for after it
+        cut = max(chunk.rfind(mark, newline) for mark in _LINE_BREAKS) + 1
+        if cut:
+            text = "".join(pending)
+            stop = len(text) - len(chunk) + cut
+            del chunk  # with pending, so that the text is the block's one copy
+            pending = []
+            yield text, stop
+            pending = [text[stop:]]
+    text = "".join(pending)
+    yield text, len(text)
+
+
+@functools.cache
+def _character_classes() -> tuple[dict[int, str], bytes]:
+    """What every whitespace character acts as: the non-ASCII ones as a str
+    translation to " " or "\n", and each byte of a block as a `bytes.translate`
+    table that also turns the other control bytes into DEL, which no token
+    grammar takes."""
+    def acts_as(char: str) -> str:
+        return "\n" if char in _LINE_BREAKS else " " if char.isspace() else char
+
+    wide = {code: acts_as(chr(code)) for code in range(128, 0x3001) if chr(code).isspace()}
+    table = bytes(ord(acts_as(chr(code))) if code > 32 or chr(code).isspace() else 127
+                  for code in range(256))
+    return wide, table
+
+
+def _tokens(text: str, stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The bytes of `text[:stop]` (`_block_bytes`), the start and end of each
+    token in them, and the number of tokens on each of its lines."""
+    buffer, breaks = _block_bytes(text, stop)
+    space = buffer <= 32
+    bounds = np.flatnonzero(space[:-1] != space[1:]) + 1
+    starts, ends = bounds[0::2], bounds[1::2]
+    per_line = np.diff(np.searchsorted(starts, breaks), prepend=0, append=starts.size)
+    return buffer, starts, ends, per_line
+
+
+def _block_bytes(text: str, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """`text[:stop]` as one byte per character, `_PAD` spaces around, with
+    every whitespace character a space or a line break (b"\n"), and where its
+    line breaks are.
+
+    A non-ASCII character that is not whitespace becomes a byte no token
+    grammar takes ("?" or a Latin-1 byte); errors quote `text` itself.
+    """
+    plain = text.isascii()
+    raw = text.encode("ascii") if plain else text.translate(
+        _character_classes()[0]).encode("latin-1", "replace")
+    buffer = np.empty(stop + 2 * _PAD, np.uint8)
+    buffer[:_PAD] = buffer[stop + _PAD:] = ord(" ")
+    buffer[_PAD:stop + _PAD] = np.frombuffer(raw, np.uint8, stop)
+    breaks = np.flatnonzero(buffer == 10)
+    if not plain or np.count_nonzero(buffer < 32) != breaks.size:  # tabs, CRs, NULs, ...
+        raw = raw.translate(_character_classes()[1])
+        buffer[_PAD:stop + _PAD] = np.frombuffer(raw, np.uint8, stop)
+        breaks = np.flatnonzero(buffer == 10)
+    return buffer, breaks
+
+
+def _words_at(buffer: np.ndarray, offsets: np.ndarray, count: int) -> np.ndarray:
+    """The `count` little-endian uint64 words that start at each offset of a
+    uint8 array, as a (len(offsets), count) array. Each window of 8 * count
+    bytes is gathered as one opaque item, which copies it whole."""
+    windows = np.ndarray((buffer.size - 8 * count + 1,), f"V{8 * count}", buffer, 0, (1,))
+    return windows[offsets].view("<u8").reshape(len(offsets), count)
+
+
+_LOW_BYTES = np.array([2 ** (8 * k) - 1 for k in range(9)], np.uint64)  # the k low bytes set
+
+
+def _bit_strings(buffer: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+                 n: int) -> np.ndarray:
+    """The basis index each bit-string token spells, -1 where it is not n
+    bits: its words, NUL after its first n bytes, go to `indices_of`."""
+    words = -(-n // 8)
+    bits = _words_at(buffer, starts, words)
+    bits &= _LOW_BYTES[np.clip(n - 8 * np.arange(words), 0, 8)]
+    index = indices_of(bits.view(f"S{8 * words}")[:, 0], n)
+    index[ends - starts != n] = -1
+    return index
+
+
+# The power 10^q = (hi + lo) * 2^exp, 1 <= hi < 2, of each decimal exponent q
+# from _Q_LOW (where D * 10^q, D < 10^19, stops being normal) to _Q_HIGH, by
+# q - _Q_LOW; filled the first time a token needs it and never changed after.
+_Q_LOW, _Q_HIGH = -326, 308
+_TEN_HI, _TEN_LO = np.zeros(_Q_HIGH - _Q_LOW + 1), np.zeros(_Q_HIGH - _Q_LOW + 1)
+_TEN_SCALE = np.zeros(_Q_HIGH - _Q_LOW + 1)  # 2^exp, 0 below the subnormals
+_TEN_FILLED = np.zeros(_Q_HIGH - _Q_LOW + 1, bool)
+
+
+def _fill_powers(rows: np.ndarray) -> None:
+    """Fill the power of ten of every row (q - _Q_LOW) given."""
+    for row in set(rows[~_TEN_FILLED[rows]].tolist()):
+        ten = Fraction(10) ** (row + _Q_LOW)
+        exp = ten.numerator.bit_length() - ten.denominator.bit_length()
+        exp -= ten < Fraction(2) ** exp
+        mantissa = ten / Fraction(2) ** exp
+        _TEN_HI[row] = float(mantissa)
+        _TEN_LO[row] = float(mantissa - Fraction(_TEN_HI[row]))
+        _TEN_SCALE[row] = math.ldexp(1.0, exp)
+        _TEN_FILLED[row] = True
+
+
+def _lanes(byte: int) -> np.uint64:
+    """A uint64 word with `byte` in each of its 8 bytes."""
+    return np.uint64(0x0101010101010101 * byte)
+
+
+_SKIPS = ~_LOW_BYTES[np.clip(np.arange(25)[:, None] - [0, 8, 16], 0, 8)]  # a 24-byte window
+# with its first s bytes off, as three words, in row s
+_POWERS = np.array([10 ** k for k in range(19)], np.uint64)
+_EIGHT_DIGITS = (np.uint64(0x000000FF000000FF), np.uint64(100 + (1000000 << 32)),
+                 np.uint64(1 + (10000 << 32)))  # Lemire's constants: pairs, then fours, then 8
+
+
+def _float_values(buffer: np.ndarray, starts: np.ndarray,
+                 ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The double each token `buffer[start:end]` of a uint8 array spells, as
+    `float()` reads it, and whether it is a float at all (NaN where not).
+
+    The grammar is `float()`'s over ASCII bytes, without `_`; `buffer` holds
+    at least 24 bytes before each token and 2 after it. The word kernel
+    (`_decimal_values`) reads the tokens `[sign] digit.digits [e sign 2-3
+    digits]` and `[sign] digits [e sign 2-3 digits]` of up to 19 significant
+    digits, as `'%.17g'` and `repr` write any double below 10; the rest, and
+    the near-ties, are read by `float()` one token at a time.
+    """
+    values, exact = _decimal_values(buffer, starts, ends)
+    parsed = exact.copy()
+    for row in np.flatnonzero(~exact).tolist():
+        token = buffer[starts[row]:ends[row]].tobytes()
+        try:
+            if b"_" in token:  # float() takes PEP 515 separators
+                raise ValueError(token)
+            values[row], parsed[row] = float(token), True
+        except ValueError:
+            values[row] = math.nan
+    return values, parsed
+
+
+def _decimal_values(buffer: np.ndarray, starts: np.ndarray,
+                    ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The double of each token, and whether the word kernel read it exactly:
+    its sign, then D * 10^q from `_decimal_parts`, rounded by `_scaled`."""
+    lead = buffer[starts]
+    minus = lead == ord("-")
+    digits, q, exact = _decimal_parts(buffer, starts + (minus | (lead == ord("+"))), ends)
+    values, exact = _scaled(digits, q, exact)
+    values *= 1 - 2.0 * minus
+    return values, exact
+
+
+def _decimal_parts(buffer: np.ndarray, starts: np.ndarray,
+                   ends: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """D and q of each unsigned token D * 10^q, and whether it is in the
+    kernel's grammar with D < 10^19.
+
+    A token whose last 8 bytes (a little-endian uint64 word) hold an `e` at
+    the fourth or fifth byte from the end has its exponent read from them
+    (`_exponents`). If the mantissa's second byte is '.', its first is the
+    integer part I; the digits after the dot, or else the whole mantissa, are
+    F, read from the 24 bytes that end where the mantissa does, as three
+    words: XOR with '0' turns digits into their values, the bytes before F
+    are masked off, a carry test finds any byte that was not a digit, and
+    each word gives its 8 digits in 3 multiplies (Lemire). So D = I * 10^f +
+    F and q is the exponent less f, f the digits after the dot.
+    """
+    end, exponent = _exponents(buffer, ends)
+    whole = (buffer[starts] ^ np.uint8(ord("0"))).astype(np.uint64)  # I, if a dot follows
+    dotted = buffer[starts + 1] == ord(".")
+    fraction = (end - starts - 2) * dotted  # f
+    skip = 24 - (end - starts) + 2 * dotted  # bytes of the window before F
+    window = _words_at(buffer, end - 24, 3)
+    window ^= _lanes(ord("0"))  # a digit's byte is now its value
+    window &= _SKIPS[np.clip(skip, 0, 24)]
+    scratch = window + _lanes(0x76)
+    scratch |= window
+    scratch &= _lanes(0x80)  # the high bit of each byte that was not a digit
+    exact = (scratch[:, 0] | scratch[:, 1] | scratch[:, 2]) == 0
+    pairs_mask, pairs, fours = _EIGHT_DIGITS
+    np.multiply(window, np.uint64(10), out=scratch)
+    window >>= np.uint64(8)
+    window += scratch
+    np.right_shift(window, np.uint64(16), out=scratch)
+    scratch &= pairs_mask
+    scratch *= fours
+    window &= pairs_mask
+    window *= pairs
+    window += scratch
+    window >>= np.uint64(32)  # the 8 digits of each word
+    q = exponent - fraction
+    exact &= (window[:, 0] < 1000) & (skip >= 0) & (end > starts)
+    exact &= ~dotted | ((whole < 10) & (fraction > 0))
+    exact &= ((fraction <= 18) | (whole == 0)) & (q >= _Q_LOW) & (q <= _Q_HIGH)
+    digits = window[:, 0] * np.uint64(10 ** 16)
+    digits += window[:, 1] * np.uint64(10 ** 8)
+    digits += window[:, 2]
+    digits += whole * dotted * _POWERS[np.minimum(fraction, 18)]
+    digits *= exact
+    return digits, q, exact
+
+
+def _scaled(digits: np.ndarray, q: np.ndarray,
+            exact: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """D * 10^q rounded to the nearest double where `exact`, and whether that
+    rounding is certain: not within `_TIE` ulp of a midpoint, and normal.
+
+    10^q = (hi + lo) * 2^exp is filled exactly from `Fraction`. D is the
+    double nearest it plus an integer below 2^10; Dekker's product of that
+    double with hi is exact, and the three terms left are summed with an
+    error below 2^-90 of the product, against the 2^-53 of one ulp. So unless
+    the sum lies within `_TIE` ulp of a midpoint between two doubles, its
+    rounding is the correctly rounded D * 10^q, and scaling it by 2^exp is
+    exact unless that leaves the normal range.
+    """
+    row = (q - _Q_LOW) * exact
+    if not _TEN_FILLED[row].all():
+        _fill_powers(row)
+    hi = _TEN_HI[row]
+    nearest = digits.astype(np.float64)
+    part = (digits - nearest.astype(np.uint64)).view(np.int64).astype(np.float64)
+    product, rest = _product(nearest, hi)
+    rest += nearest * _TEN_LO[row] + part * hi
+    near = product + rest
+    off = rest - (near - product)  # near + off is product + rest exactly
+    # the doubles on off's side of near are 2^(e - 52) apart, 2^e the binade
+    # of near, or of the double below it when off < 0
+    side = near.view(np.uint64) - (off < 0)
+    half = (side & np.uint64(0x7FF << 52)).view(np.float64) * 2.0 ** -53
+    exact &= np.abs(np.abs(off) - half) > 2 * _TIE * half
+    with np.errstate(over="ignore"):
+        values = near * _TEN_SCALE[row]
+    exact &= ((values >= 2.0 ** -1022) & (values < math.inf)) | (digits == 0)
+    return values, exact
+
+
+def _exponents(buffer: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each token's mantissa ends, and its exponent: read from a token
+    that ends in `e+dd` or `e-ddd`, 0 (and the token's end) for the rest.
+    Only the tokens whose last 8 bytes hold an `e` where one could start
+    such an ending are looked at closely."""
+    end, exponent = ends.copy(), np.zeros(len(ends), np.int64)
+    tail = _words_at(buffer, ends - 8, 1)[:, 0]
+    marks = (tail >> np.uint64(24)) ^ np.uint64(0x6565)  # 0 where an 'e' is, in bytes 0 and 1
+    some = np.flatnonzero(((marks & np.uint64(0xFF)) == 0) | ((marks & np.uint64(0xFF00)) == 0))
+    tail = tail[some]
+    x5, x4, x3, x2, x1 = ((tail >> np.uint64(8 * k)) & np.uint64(255) for k in range(3, 8))
+    d3, d2, d1 = (x - np.uint64(48) for x in (x3, x2, x1))  # below 10 for a digit
+    two = (x4 == ord("e")) & ((x3 == ord("+")) | (x3 == ord("-"))) & (d2 < 10) & (d1 < 10)
+    three = ((x5 == ord("e")) & ((x4 == ord("+")) | (x4 == ord("-")))
+             & (d3 < 10) & (d2 < 10) & (d1 < 10))
+    power = (d3 * np.uint64(100) * three + d2 * np.uint64(10) + d1).astype(np.int64)
+    power[np.where(three, x4, x3) == ord("-")] *= -1
+    end[some] -= 4 * two + 5 * three
+    exponent[some] = power * (two | three)
+    return end, exponent
+
+
 def index_of(bits: str) -> int:
     """Inverse of `bitstring`: the index of 1 to 63 ASCII '0'/'1' characters.
 
@@ -309,14 +597,22 @@ def indices_of(bits: np.ndarray, n_qubits: int) -> np.ndarray:
 
     An entry is well formed when it is exactly `n_qubits` ASCII '0'/'1'
     characters; give the array a width above n so that a longer one shows.
-    The index is built one bit column at a time, with no (rows, n) temporary.
+    Entries are read 8 bytes at a time, as little-endian words (padded with
+    NULs to a whole word): lanes below n must be '0' or '1' and lanes above
+    NUL, and a multiply packs the low bits of a word's 8 lanes into a byte.
     """
     raw = np.ascontiguousarray(bits).view(np.uint8).reshape(bits.size, bits.itemsize)
-    valid = ~raw[:, n_qubits:].any(axis=1)
-    index = np.zeros(bits.size, dtype=np.int64)
-    for column in raw[:, :n_qubits].T:
-        valid &= (column | 1) == ord("1")
-        index <<= 1
-        index += column & 1
+    width = -(-max(bits.itemsize, n_qubits) // 8) * 8
+    if width != bits.itemsize:
+        raw = np.concatenate([raw, np.zeros((bits.size, width - bits.itemsize), np.uint8)], 1)
+    ones = _LOW_BYTES[np.clip(n_qubits - np.arange(0, width, 8), 0, 8)] & _lanes(1)
+    words = raw.view("<u8")
+    valid = ((words | ones) == ones * np.uint64(ord("1"))).all(axis=1)
+    packed = ((words & _lanes(1)) * np.uint64(0x8040201008040201)) >> np.uint64(56)
+    index = np.zeros(bits.size, dtype=np.uint64)
+    for column in packed.T:
+        index <<= np.uint64(8)
+        index |= column
+    index = (index >> np.uint64(width - n_qubits)).astype(np.int64)
     index[~valid] = -1
     return index

@@ -12,15 +12,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from pathlib import Path
 
 from .phase_partition import (_check_qubit_count, _class_arrays, _hypercube_failure,
                               _partition_blocks, intersection_summary, partition_vertices)
 from .render import _check_dot_qubits, _dot_blocks, _svg_projection, render_partition_svg
 from .spin_model import (BerryPhaseResult, DegenerateDrive, DiagonalTwoQubitGate,
                          PhysicalParams, berry_phases, cphase_gate)
-from .statevec import (GatePlacement, _state_blocks, apply_cphase, concurrence,
-                       state_from_text, uniform_superposition)
+from .statevec import (GatePlacement, _read_state_file, _state_blocks, apply_cphase,
+                       concurrence, uniform_superposition)
 from .toric_geometry import NonSimplicialCone, NotFullDimensional, _product_p1_blocks
 
 USAGE_EXIT = 1
@@ -114,7 +113,7 @@ def _cmd_gate(args: argparse.Namespace) -> int:
 
 def _cmd_apply(args: argparse.Namespace) -> int:
     if args.input is not None:
-        state = state_from_text(Path(args.input).read_text())
+        state = _read_state_file(args.input)
         if args.n is not None and args.n != state.n_qubits:
             raise UsageError(
                 f"--n {args.n} conflicts with the {state.n_qubits}-qubit input file")
@@ -131,7 +130,7 @@ def _cmd_apply(args: argparse.Namespace) -> int:
 
 def _cmd_concurrence(args: argparse.Namespace) -> int:
     if args.input is not None:
-        state = state_from_text(Path(args.input).read_text())
+        state = _read_state_file(args.input)
     else:
         gate = _gate_from_phi1(args.phi1)
         state = apply_cphase(uniform_superposition(2), gate, GatePlacement(1, 2))

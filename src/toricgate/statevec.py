@@ -15,17 +15,19 @@ import math
 import numbers
 import operator
 import re
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import (_TEXT_BLOCK, MAX_QUBITS, bitstring, float_tokens, indices_of, label_fields,
-                   pair_view, row_blocks, table_text)
+from .bits import (_PAD, _TEXT_BLOCK, MAX_QUBITS, _bit_strings, _float_values, _line_blocks,
+                   _tokens, bitstring, float_tokens, label_fields, pair_view, row_blocks,
+                   table_text)
 from .spin_model import DiagonalTwoQubitGate
 
 _NORM_TOL = 1e-9
 _HEADER = re.compile(r"n=([0-9]+)$")  # \d would take non-ASCII digits
+_READ_BLOCK = 1 << 18  # characters per read: bounds each block's byte tables
 
 
 @dataclass(frozen=True)
@@ -169,38 +171,108 @@ def state_from_text(text: str) -> StateVector:
     """Parse the `state_to_text` format; every basis index must appear exactly once.
 
     Lines may come in any order, blank lines are skipped, and any whitespace
-    separates the three fields. Each part is stored as parsed, so a `-0` keeps
-    its sign.
+    separates the three fields. Lines break where `str.splitlines` breaks
+    them, and the parts are read in `float()`'s grammar without `_` or
+    non-ASCII digits. Each part is stored as parsed, so a `-0` keeps its sign.
+    The text is read `_READ_BLOCK` characters at a time (`_read_state`).
     """
-    lines = list(filter(str.strip, text.splitlines()))
-    if not lines:
-        raise ValueError("empty state text")
-    first = lines.pop(0).strip()
-    header = _HEADER.match(first)
-    if header is None:
-        raise ValueError(f"expected 'n=<int>' header, got {first!r}")
-    n = int(header.group(1))
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"qubit count must lie in 1..{MAX_QUBITS}")
-    size = 1 << n
-    if len(lines) != size:
-        raise ValueError(f"expected {size} amplitude lines, got {len(lines)}")
-    try:
-        rows = np.loadtxt(lines, comments=None, dtype=[
-            ("bits", f"S{n + 1}"), ("re", float), ("im", float)])
-    except ValueError as exc:
-        wrong = next((line for line in lines if len(line.split()) != 3), None)
-        raise ValueError(f"malformed amplitude line {wrong.strip()!r}" if wrong is not None
-                         else f"malformed amplitude line: {exc}") from None
-    index = indices_of(rows["bits"], n)
-    malformed = np.flatnonzero(index < 0)
-    if malformed.size:
-        raise ValueError(f"malformed bit string {lines[malformed[0]].split()[0]!r}")
-    counts = np.bincount(index, minlength=size)
-    repeated = int(counts.argmax())
-    if counts[repeated] > 1:
-        raise ValueError(f"duplicate basis index {bitstring(repeated, n)!r}")
-    amps = np.empty(size, dtype=complex)
-    amps.real[index] = rows["re"]
-    amps.imag[index] = rows["im"]
-    return StateVector(amps, _owned=True)
+    return _read_state(text[at:at + _READ_BLOCK] for at in range(0, len(text), _READ_BLOCK))
+
+
+def _read_state_file(path: str) -> StateVector:
+    """`state_from_text` of a file's text, read `_READ_BLOCK` characters at a time."""
+    with open(path) as file:
+        return _read_state(iter(lambda: file.read(_READ_BLOCK), ""))
+
+
+def _read_state(chunks: Iterable[str]) -> StateVector:
+    """The state that the text of `chunks` spells, one block of whole lines at a time.
+
+    Each block is laid out as a uint8 array (`bits._tokens`). Token bounds
+    come from where its whitespace mask changes, and the tokens of each line
+    from where its line breaks fall among them. The first nonblank line is
+    the header; the others must hold three tokens each, whose bit strings go
+    to `bits.indices_of` and whose numbers go to `bits._float_values`. The first fault
+    of each kind is kept and raised once the text is read, in the order
+    header, line count, malformed line (a field count, then a number),
+    malformed bit string, duplicate index, normalization.
+    """
+    reader = _StateReader()
+    for text, stop in _line_blocks(chunks):
+        reader.read(text, stop)
+    return reader.state()
+
+
+class _StateReader:
+    """The state of `_read_state` between blocks: the header's n, the
+    amplitudes and index counts so far, the amplitude line count, and the
+    first fault of each kind (field count, number, bit string)."""
+
+    def __init__(self) -> None:
+        self.n = 0
+        self.lines = 0
+        self.faults: list[str | None] = [None, None, None]
+
+    def read(self, text: str, stop: int) -> None:
+        """Read the lines of `text[:stop]`."""
+        buffer, starts, ends, per_line = _tokens(text, stop)
+
+        def written(first: int, last: int) -> str:  # tokens first..last, as in the text
+            return text[starts[first] - _PAD:ends[last] - _PAD]
+
+        first = 0  # tokens of the header line, which this block may begin with
+        if not self.n and starts.size:
+            line = int(np.flatnonzero(per_line)[0])
+            first, per_line[line] = int(per_line[line]), 0
+            self._header(written(0, first - 1))
+        lines = per_line != 0
+        self.lines += int(np.count_nonzero(lines))
+        wrong = np.flatnonzero(lines & (per_line != 3))
+        if wrong.size:
+            at = first + int(per_line[:wrong[0]].sum())
+            line = written(at, at + int(per_line[wrong[0]]) - 1)
+            self._fault(0, f"malformed amplitude line {line!r}")
+        if wrong.size or self.faults[0] or starts.size == first:
+            return
+        lines = starts[first:].reshape(-1, 3), ends[first:].reshape(-1, 3)
+        index = _bit_strings(buffer, lines[0][:, 0], lines[1][:, 0], self.n)
+        values, parsed = _float_values(buffer, lines[0][:, 1:].ravel(), lines[1][:, 1:].ravel())
+        if not parsed.all():
+            at = first + np.flatnonzero(~parsed)[0] // 2 * 3
+            self._fault(1, f"malformed amplitude line {written(at, at + 2)!r}")
+        valid = index >= 0
+        if not valid.all():
+            at = first + np.flatnonzero(~valid)[0] * 3
+            self._fault(2, f"malformed bit string {written(at, at)!r}")
+            index, values = index[valid], values.reshape(-1, 2)[valid].ravel()
+        self.amps.real[index] = values[0::2]
+        self.amps.imag[index] = values[1::2]
+        np.add.at(self.counts, index, np.uint32(1))
+
+    def _header(self, first: str) -> None:
+        header = _HEADER.match(first)
+        if header is None:
+            raise ValueError(f"expected 'n=<int>' header, got {first!r}")
+        n = int(header.group(1))
+        if not 1 <= n <= MAX_QUBITS:
+            raise ValueError(f"qubit count must lie in 1..{MAX_QUBITS}")
+        self.n = n
+        self.amps = np.empty(1 << n, dtype=complex)
+        self.counts = np.zeros(1 << n, dtype=np.uint32)
+
+    def _fault(self, kind: int, message: str) -> None:
+        self.faults[kind] = self.faults[kind] or message
+
+    def state(self) -> StateVector:
+        if not self.n:
+            raise ValueError("empty state text")
+        size = 1 << self.n
+        if self.lines != size:
+            raise ValueError(f"expected {size} amplitude lines, got {self.lines}")
+        fault = next(filter(None, self.faults), None)
+        if fault is not None:
+            raise ValueError(fault)
+        repeated = int(self.counts.argmax())
+        if self.counts[repeated] > 1:
+            raise ValueError(f"duplicate basis index {bitstring(repeated, self.n)!r}")
+        return StateVector(self.amps, _owned=True)

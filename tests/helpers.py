@@ -1,5 +1,6 @@
 """Shared oracles for the test suite, independent of the library internals."""
 import itertools
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -49,6 +50,48 @@ def reference_state_text(amps):
         re, im = float(amp.real), float(amp.imag)
         lines.append(f"{x:0{n}b} {re:.17g} {im:.17g}")
     return "\n".join(lines) + "\n"
+
+
+def reference_state_from_text(text):
+    """The amplitudes of a state file, read as the line list and `np.loadtxt`
+    reader did before the byte-table reader; a ValueError where the text is
+    not a state, with that reader's message."""
+    lines = list(filter(str.strip, text.splitlines()))
+    if not lines:
+        raise ValueError("empty state text")
+    first = lines.pop(0).strip()
+    header = re.match(r"n=([0-9]+)$", first)
+    if header is None:
+        raise ValueError(f"expected 'n=<int>' header, got {first!r}")
+    n = int(header.group(1))
+    if not 1 <= n <= 24:
+        raise ValueError("qubit count must lie in 1..24")
+    size = 1 << n
+    if len(lines) != size:
+        raise ValueError(f"expected {size} amplitude lines, got {len(lines)}")
+    try:
+        rows = np.loadtxt(lines, comments=None, dtype=[
+            ("bits", f"S{n + 1}"), ("re", float), ("im", float)])
+    except ValueError as exc:
+        wrong = next((line for line in lines if len(line.split()) != 3), None)
+        raise ValueError(f"malformed amplitude line {wrong.strip()!r}" if wrong is not None
+                         else f"malformed amplitude line: {exc}") from None
+    index = []
+    for line, bits in zip(lines, rows["bits"].tolist()):  # trailing NULs dropped
+        if len(bits) != n or not set(bits) <= set(b"01"):
+            raise ValueError(f"malformed bit string {line.split()[0]!r}")
+        index.append(int(bits, 2))
+    counts = np.bincount(index, minlength=size)
+    repeated = int(counts.argmax())
+    if counts[repeated] > 1:
+        raise ValueError(f"duplicate basis index {format(repeated, f'0{n}b')!r}")
+    amps = np.empty(size, dtype=complex)
+    amps.real[index] = rows["re"]
+    amps.imag[index] = rows["im"]
+    norm_sq = float(np.vdot(amps, amps).real)
+    if not abs(norm_sq - 1.0) <= 1e-9:
+        raise ValueError(f"state is not normalized: |psi|^2 = {norm_sq!r}")
+    return amps
 
 
 def hypercube_edges(m):

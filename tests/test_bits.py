@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 from helpers import hypercube_edges
 from toricgate import bits
-from toricgate.bits import (_TEXT_BLOCK, bit_at, bitstring, cube_edge_blocks, cube_edges,
+from toricgate.bits import (_TEXT_BLOCK, _decimal_values, _float_values, bit_at, bitstring,
+                            cube_edge_blocks, cube_edges,
                             float_tokens, index_of, indices_of, label_fields, pair_view,
                             qubit_mask, row_blocks, table_text)
 
@@ -192,3 +194,70 @@ def test_fallback_rows_inside_one_block(monkeypatch):
     # and with every row sent there, the block is the same
     monkeypatch.setattr(bits, "_TIE", 1.0)
     assert _decoded(float_tokens(values)) == want
+
+
+def _read_floats(tokens):
+    """`_float_values` of ASCII tokens, one to a line between the 24 bytes it
+    may read back and the 2 it may read on, and whether the word kernel read each."""
+    text = " " * 24 + "\n".join(tokens) + "\n "  # one byte a character, as the reader lays out
+    buffer = np.frombuffer(text.encode("latin-1", "replace"), np.uint8)
+    widths = np.array([len(token) for token in tokens], dtype=np.int64)
+    ends = 24 + np.cumsum(widths + 1) - 1
+    starts = ends - widths
+    return (*_float_values(buffer, starts, ends), _decimal_values(buffer, starts, ends)[1])
+
+
+def _midpoint(x):
+    """The exact decimal of the midpoint between a finite double and the next one up."""
+    mid = (Fraction(x) + Fraction(_above(x))) / 2
+    scale = mid.denominator.bit_length() - 1  # the denominator is a power of two
+    return f"{mid.numerator * 5 ** scale}e-{scale}"
+
+
+def _same_as_float(tokens):
+    values, parsed, _ = _read_floats(tokens)
+    assert parsed.all()
+    want = np.array([float(token) for token in tokens])
+    assert values.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.integers(0, 2 ** 64 - 1).filter(_finite),
+                          st.sampled_from(_PLANTED).map(
+                              lambda x: int(np.float64(x).view(np.uint64)))),
+                min_size=1, max_size=100))
+def test_float_values_read_every_double_as_float_does(patterns):
+    # subnormals, the edges of the exponent range and the exact midpoints
+    # between neighbours among them
+    values = np.array(patterns, dtype=np.uint64).view(np.float64).tolist()
+    _same_as_float(["%.17g" % x for x in values] + [repr(x) for x in values]
+                   + [_midpoint(x) for x in values if math.isfinite(_above(x))])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(2 ** 53, 10 ** 19 - 1))
+def test_float_values_leave_ties_to_float(integer):
+    # the midpoints above 2^53 are integers of at most 19 digits, in the word
+    # kernel's grammar; it must see each tie and leave it to float()
+    mid = _midpoint(float(integer)).removesuffix("e-0")
+    tokens = [mid, f"{mid[0]}.{mid[1:]}e+{len(mid) - 1:02d}"]
+    _same_as_float(tokens)
+    assert not _read_floats(tokens)[2].any()
+
+
+@pytest.mark.parametrize("token", [
+    "0", "-0", "+0", "1", "5.", ".5", "-.5", "+0.5", "1E5", "1e5", "1e+5", "1e-05", "1e+308",
+    "1e-400", "1e400", "00.5", "0.5e0", "0.50000000000000000000000001", "nan", "-NaN", "inf",
+    "-Infinity", "1_0", "0.5_0", "0x10", "1e", "1e+", "e5", "-", ".", "-.", "1..5", "1.5.",
+    "1e5.", "--1", "+-1", "1 ", "١", "1\x7f", "?"])
+def test_float_values_take_floats_grammar_without_underscores(token):
+    token = token.strip()
+    values, parsed, _ = _read_floats([token])
+    try:
+        want = float(token) if "_" not in token and token.isascii() else None
+    except ValueError:
+        want = None
+    assert bool(parsed[0]) == (want is not None)
+    if want is not None:
+        assert np.float64(want).view(np.uint64) == values.view(np.uint64)[0] or (
+            math.isnan(want) and math.isnan(values[0]))

@@ -1,6 +1,10 @@
 """The state file format: writer bytes, exact round trips, accepted layouts,
-rejected inputs (library and CLI), and the memory the two text functions use."""
+rejected inputs (library, CLI and process), agreement with the line list
+reader it replaced, and the memory the two text functions use."""
 import io
+import re
+import subprocess
+import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -9,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_state, reference_state_text
+from helpers import random_state, reference_state_from_text, reference_state_text
+from toricgate import statevec
+from toricgate.bits import _decimal_values, _tokens
 from toricgate.cli import main
 from toricgate.statevec import StateVector, state_from_text, state_to_text
 
@@ -81,10 +87,12 @@ _GOOD = "n=2\n00 0.6 0\n01 0.8 0\n10 0 0\n11 0 0\n"  # every case below breaks o
 _REJECTED = {  # name: (text, pinned message, or None where only the ValueError is pinned)
     "4 then 2 tokens": ("n=2\n00 0.6 0 01\n0.8 0\n10 0 0\n11 0 0\n",
                         "malformed amplitude line '00 0.6 0 01'$"),
-    "trailing comment": (_GOOD.replace("0.8 0", "0.8 0 # note"), "malformed amplitude line"),
+    "trailing comment": (_GOOD.replace("0.8 0", "0.8 0 # note"),
+                         "malformed amplitude line '01 0.8 0 # note'$"),
     "comment line": (_GOOD + "# note\n", "expected 4 amplitude lines, got 5$"),
-    "comment as number": (_GOOD.replace("0.8 0", "0.8 #0"), "malformed amplitude line"),
-    "quoted number": (_GOOD.replace("0.8", '"0.8"'), "malformed amplitude line"),
+    "comment as number": (_GOOD.replace("0.8 0", "0.8 #0"),
+                          "malformed amplitude line '01 0.8 #0'$"),
+    "quoted number": (_GOOD.replace("0.8", '"0.8"'), """malformed amplitude line '01 "0.8" 0'$"""),
     "bits n+1": (_GOOD.replace("01 ", "010 "), "malformed bit string '010'$"),
     "bits n-1": (_GOOD.replace("01 ", "1 "), "malformed bit string '1'$"),
     "bits far too long": (_GOOD.replace("01 ", "0100000 "), "malformed bit string '0100000'$"),
@@ -109,9 +117,10 @@ _REJECTED = {  # name: (text, pinned message, or None where only the ValueError 
     "NaN": (_GOOD.replace("0.6", "nan"), "not normalized"),
     "infinity": (_GOOD.replace("0.6", "inf"), "not normalized"),
     # float() reads these two; the state format does not
-    "underscore separator": (_GOOD.replace("0.6", "0.6_0"), "malformed amplitude line"),
+    "underscore separator": (_GOOD.replace("0.6", "0.6_0"),
+                             "malformed amplitude line '00 0.6_0 0'$"),
     "Arabic-Indic digit": (_GOOD.replace("0.6 0\n01 0.8", "\u0661 0\n01 0"),
-                           "malformed amplitude line"),
+                           "malformed amplitude line '00 \u0661 0'$"),
 }
 
 
@@ -178,5 +187,107 @@ def test_text_functions_stay_within_four_times_the_text():
     text, write_peak = _traced_peak(state_to_text, state)
     back, read_peak = _traced_peak(state_from_text, text)
     assert write_peak <= 4 * len(text)
-    assert read_peak <= 4 * len(text)
+    # blocks of whole lines: the 1 MiB state, its index counts, and one block
+    assert read_peak < len(text)
     assert np.array_equal(back.amplitudes, state.amplitudes)
+
+
+def _floats_of(text):
+    """The number tokens of a state text's amplitude lines, as the reader sees them."""
+    buffer, starts, ends, _ = _tokens(text, len(text))
+    parts = np.arange(1, starts.size).reshape(-1, 3)[:, 1:].ravel()
+    return buffer, starts[parts], ends[parts]
+
+
+@pytest.mark.parametrize("writer", [state_to_text, lambda state: reference_state_text(
+    state.amplitudes)])
+def test_random_states_need_no_float_fallback(writer):
+    # the states of the benchmark: normal parts, normalized, written '%.17g'
+    state = StateVector(random_state(np.random.default_rng(17), 14))
+    assert _decimal_values(*_floats_of(writer(state)))[1].all()
+
+
+def _mutated(draw, token):
+    """A token in another spelling, most of them of the same value."""
+    try:
+        value = float(token)
+    except ValueError:  # respelled before
+        token, value = "0.5", 0.5
+    spelled = draw(st.sampled_from([
+        f"{value:.17E}", "+" + token, re.sub(r"^(-?)0\.", r"\1.", token), f"{value:.0f}.",
+        f"{value:.{draw(st.integers(19, 29))}e}", re.sub(r"e.*", "", token) + "e-400",
+        "1e+400", "nan", "-inf", "infinity", token + "_0", token + "\u0661"]))
+    return spelled
+
+
+_CHANGES = ("spelling",) * 6 + ("drop", "repeat", "extra", "bits")
+
+
+@st.composite
+def _state_texts(draw):
+    """A state text with respelled numbers, dropped, repeated or extra tokens,
+    repeated bit strings, blank lines, and any whitespace and line breaks."""
+    n = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    header, *lines = reference_state_text(random_state(rng, n)).splitlines()
+    rows = [line.split(" ") for line in lines]
+    for kind in draw(st.lists(st.sampled_from(_CHANGES), max_size=3)):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        at = draw(st.integers(0, len(row) - 1))
+        if kind == "spelling" and len(row) > 1:
+            at = draw(st.integers(1, len(row) - 1))
+            row[at] = _mutated(draw, row[at])
+        elif kind == "drop":
+            del row[at]
+        elif kind == "repeat":
+            row.insert(at, row[at])
+        elif kind == "extra":
+            row.append(draw(st.sampled_from(["0", "1e-5", "x", "0" * n])))
+        elif kind == "bits":
+            row[0] = draw(st.sampled_from(rows))[0]
+    lines = [draw(st.sampled_from([" ", "\t", "\xa0", "\u3000", "\x1f", " \t "])).join(row)
+             for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", " ", "\xa0"])))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1e", "\x85",
+                                "\u2028", "\u2029"]))
+    return eol.join([header, *lines]) + draw(st.sampled_from([eol, ""]))
+
+
+def _read_with(reader, text):
+    try:
+        return reader(text)
+    except ValueError:
+        return None
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_state_texts(), st.sampled_from([1, 2, 3, 5, 16, 1 << 18]))
+def test_reader_agrees_with_the_line_list_reader(text, block):
+    # lines straddle blocks of a few characters as well as one block of all
+    want = _read_with(reference_state_from_text, text)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(statevec, "_READ_BLOCK", block)
+        got = _read_with(state_from_text, text)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert _same_bits(got.amplitudes, want)
+
+
+def _apply_process(path):
+    return subprocess.run([sys.executable, "-m", "toricgate", "apply", "--input", str(path),
+                           "--control", "1", "--target", "2", "--phi1", "0.3"],
+                          capture_output=True, timeout=120)
+
+
+@pytest.mark.parametrize("damage", ["invalid UTF-8", "truncated mid-line"])
+def test_apply_process_rejects_a_file_damaged_after_the_first_block(damage, tmp_path):
+    text = state_to_text(StateVector(random_state(np.random.default_rng(3), 13))).encode()
+    at = statevec._READ_BLOCK + 1000  # past the first block
+    assert len(text) > at + 1000 and text[at:at + 1] not in b" \n"
+    path = tmp_path / "state.txt"
+    path.write_bytes(text[:at] + b"\xff" + text[at + 1:] if damage == "invalid UTF-8"
+                     else text[:at])
+    proc = _apply_process(path)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.startswith(b"toricgate: error: ") and proc.stderr.count(b"\n") == 1
