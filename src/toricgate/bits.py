@@ -333,7 +333,7 @@ def _line_blocks(chunks: Iterable[str]) -> Iterator[tuple[str, int]]:
 @functools.cache
 def _character_classes() -> tuple[dict[int, str], bytes]:
     """What every whitespace character acts as: the non-ASCII ones as a str
-    translation to " " or "\n", and each byte of a block as a `bytes.translate`
+    translation to " " or "\\n", and each byte of a block as a `bytes.translate`
     table that also turns the other control bytes into DEL, which no token
     grammar takes."""
     def acts_as(char: str) -> str:
@@ -347,19 +347,24 @@ def _character_classes() -> tuple[dict[int, str], bytes]:
 
 def _tokens(text: str, stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The bytes of `text[:stop]` (`_block_bytes`), the start and end of each
-    token in them, and the number of tokens on each of its lines."""
-    buffer, breaks = _block_bytes(text, stop)
-    space = buffer <= 32
-    bounds = np.flatnonzero(space[:-1] != space[1:]) + 1
-    starts, ends = bounds[0::2], bounds[1::2]
-    per_line = np.diff(np.searchsorted(starts, breaks), prepend=0, append=starts.size)
+    token in them, and the number of tokens on each of its lines.
+
+    A token lies between two whitespace bytes that are not next to each
+    other, and the tokens before a line break are counted over the
+    whitespace bytes before it."""
+    buffer, spaces = _block_bytes(text, stop)
+    apart = np.diff(spaces) > 1
+    token = np.flatnonzero(apart)
+    starts, ends = spaces[token] + 1, spaces[token + 1]
+    before = np.cumsum(apart)[np.flatnonzero(buffer[spaces] == 10) - 1]
+    per_line = np.diff(before, prepend=0, append=starts.size)
     return buffer, starts, ends, per_line
 
 
 def _block_bytes(text: str, stop: int) -> tuple[np.ndarray, np.ndarray]:
     """`text[:stop]` as one byte per character, `_PAD` spaces around, with
-    every whitespace character a space or a line break (b"\n"), and where its
-    line breaks are.
+    every whitespace character a space or a line break (b"\\n"), and where
+    its whitespace bytes are.
 
     A non-ASCII character that is not whitespace becomes a byte no token
     grammar takes ("?" or a Latin-1 byte); errors quote `text` itself.
@@ -370,12 +375,13 @@ def _block_bytes(text: str, stop: int) -> tuple[np.ndarray, np.ndarray]:
     buffer = np.empty(stop + 2 * _PAD, np.uint8)
     buffer[:_PAD] = buffer[stop + _PAD:] = ord(" ")
     buffer[_PAD:stop + _PAD] = np.frombuffer(raw, np.uint8, stop)
-    breaks = np.flatnonzero(buffer == 10)
-    if not plain or np.count_nonzero(buffer < 32) != breaks.size:  # tabs, CRs, NULs, ...
-        raw = raw.translate(_character_classes()[1])
+    spaces = np.flatnonzero(buffer <= 32)
+    marks = buffer[spaces]
+    if not plain or np.count_nonzero(marks == 32) + np.count_nonzero(marks == 10) < spaces.size:
+        raw = raw.translate(_character_classes()[1])  # tabs, CRs, NULs, ...
         buffer[_PAD:stop + _PAD] = np.frombuffer(raw, np.uint8, stop)
-        breaks = np.flatnonzero(buffer == 10)
-    return buffer, breaks
+        spaces = np.flatnonzero(buffer <= 32)
+    return buffer, spaces
 
 
 def _words_at(buffer: np.ndarray, offsets: np.ndarray, count: int) -> np.ndarray:
@@ -428,8 +434,8 @@ def _lanes(byte: int) -> np.uint64:
     return np.uint64(0x0101010101010101 * byte)
 
 
-_SKIPS = ~_LOW_BYTES[np.clip(np.arange(25)[:, None] - [0, 8, 16], 0, 8)]  # a 24-byte window
-# with its first s bytes off, as three words, in row s
+# a 24-byte window with its first s bytes off, as the three words at byte 24 * s
+_SKIPS = (~_LOW_BYTES[np.clip(np.arange(25)[:, None] - [0, 8, 16], 0, 8)]).view(np.uint8).ravel()
 _POWERS = np.array([10 ** k for k in range(19)], np.uint64)
 _EIGHT_DIGITS = (np.uint64(0x000000FF000000FF), np.uint64(100 + (1000000 << 32)),
                  np.uint64(1 + (10000 << 32)))  # Lemire's constants: pairs, then fours, then 8
@@ -487,14 +493,15 @@ def _decimal_parts(buffer: np.ndarray, starts: np.ndarray,
     each word gives its 8 digits in 3 multiplies (Lemire). So D = I * 10^f +
     F and q is the exponent less f, f the digits after the dot.
     """
-    end, exponent = _exponents(buffer, ends)
+    window = _words_at(buffer, ends - 24, 3)
+    end, exponent, some = _exponents(window[:, 2], ends)
+    window[some] = _words_at(buffer, end[some] - 24, 3)  # the mantissa's, before the exponent
     whole = (buffer[starts] ^ np.uint8(ord("0"))).astype(np.uint64)  # I, if a dot follows
     dotted = buffer[starts + 1] == ord(".")
     fraction = (end - starts - 2) * dotted  # f
     skip = 24 - (end - starts) + 2 * dotted  # bytes of the window before F
-    window = _words_at(buffer, end - 24, 3)
     window ^= _lanes(ord("0"))  # a digit's byte is now its value
-    window &= _SKIPS[np.clip(skip, 0, 24)]
+    window &= _words_at(_SKIPS, 24 * np.clip(skip, 0, 24), 3)
     scratch = window + _lanes(0x76)
     scratch |= window
     scratch &= _lanes(0x80)  # the high bit of each byte that was not a digit
@@ -556,13 +563,12 @@ def _scaled(digits: np.ndarray, q: np.ndarray,
     return values, exact
 
 
-def _exponents(buffer: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where each token's mantissa ends, and its exponent: read from a token
-    that ends in `e+dd` or `e-ddd`, 0 (and the token's end) for the rest.
-    Only the tokens whose last 8 bytes hold an `e` where one could start
-    such an ending are looked at closely."""
+def _exponents(tail: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where each token's mantissa ends and its exponent, given the token's
+    last 8 bytes as a word: read from a token that ends in `e+dd` or `e-ddd`,
+    0 (and the token's end) for the rest; and the tokens looked at closely,
+    those with an `e` where one could start such an ending."""
     end, exponent = ends.copy(), np.zeros(len(ends), np.int64)
-    tail = _words_at(buffer, ends - 8, 1)[:, 0]
     marks = (tail >> np.uint64(24)) ^ np.uint64(0x6565)  # 0 where an 'e' is, in bytes 0 and 1
     some = np.flatnonzero(((marks & np.uint64(0xFF)) == 0) | ((marks & np.uint64(0xFF00)) == 0))
     tail = tail[some]
@@ -575,7 +581,7 @@ def _exponents(buffer: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.nda
     power[np.where(three, x4, x3) == ord("-")] *= -1
     end[some] -= 4 * two + 5 * three
     exponent[some] = power * (two | three)
-    return end, exponent
+    return end, exponent, some
 
 
 def index_of(bits: str) -> int:
@@ -606,13 +612,11 @@ def indices_of(bits: np.ndarray, n_qubits: int) -> np.ndarray:
     if width != bits.itemsize:
         raw = np.concatenate([raw, np.zeros((bits.size, width - bits.itemsize), np.uint8)], 1)
     ones = _LOW_BYTES[np.clip(n_qubits - np.arange(0, width, 8), 0, 8)] & _lanes(1)
-    words = raw.view("<u8")
-    valid = ((words | ones) == ones * np.uint64(ord("1"))).all(axis=1)
-    packed = ((words & _lanes(1)) * np.uint64(0x8040201008040201)) >> np.uint64(56)
-    index = np.zeros(bits.size, dtype=np.uint64)
-    for column in packed.T:
+    index, wrong = np.zeros(bits.size, np.uint64), np.zeros(bits.size, np.uint64)
+    for word, one in zip(raw.view("<u8").T, ones):
+        wrong |= (word | one) ^ (one * np.uint64(ord("1")))
         index <<= np.uint64(8)
-        index |= column
+        index |= ((word & _lanes(1)) * np.uint64(0x8040201008040201)) >> np.uint64(56)
     index = (index >> np.uint64(width - n_qubits)).astype(np.int64)
-    index[~valid] = -1
+    index[wrong != 0] = -1
     return index

@@ -188,14 +188,14 @@ def _read_state_file(path: str) -> StateVector:
 def _read_state(chunks: Iterable[str]) -> StateVector:
     """The state that the text of `chunks` spells, one block of whole lines at a time.
 
-    Each block is laid out as a uint8 array (`bits._tokens`). Token bounds
-    come from where its whitespace mask changes, and the tokens of each line
-    from where its line breaks fall among them. The first nonblank line is
-    the header; the others must hold three tokens each, whose bit strings go
-    to `bits.indices_of` and whose numbers go to `bits._float_values`. The first fault
-    of each kind is kept and raised once the text is read, in the order
-    header, line count, malformed line (a field count, then a number),
-    malformed bit string, duplicate index, normalization.
+    Each block is laid out as a uint8 array, cut into tokens and counted
+    line by line from where its whitespace bytes are (`bits._tokens`). The
+    first nonblank line is the header; the others must hold three tokens
+    each, whose bit strings go to `bits.indices_of` and whose numbers go to
+    `bits._float_values`. The first fault of each kind is kept and raised
+    once the text is read, in the order header, line count, malformed line
+    (a field count, then a number), malformed bit string, duplicate index,
+    normalization.
     """
     reader = _StateReader()
     for text, stop in _line_blocks(chunks):
@@ -234,9 +234,9 @@ class _StateReader:
             self._fault(0, f"malformed amplitude line {line!r}")
         if wrong.size or self.faults[0] or starts.size == first:
             return
-        lines = starts[first:].reshape(-1, 3), ends[first:].reshape(-1, 3)
-        index = _bit_strings(buffer, lines[0][:, 0], lines[1][:, 0], self.n)
-        values, parsed = _float_values(buffer, lines[0][:, 1:].ravel(), lines[1][:, 1:].ravel())
+        fields = starts[first:].reshape(-1, 3), ends[first:].reshape(-1, 3)
+        index = _bit_strings(buffer, fields[0][:, 0], fields[1][:, 0], self.n)
+        values, parsed = _float_values(buffer, fields[0][:, 1:].ravel(), fields[1][:, 1:].ravel())
         if not parsed.all():
             at = first + np.flatnonzero(~parsed)[0] // 2 * 3
             self._fault(1, f"malformed amplitude line {written(at, at + 2)!r}")
