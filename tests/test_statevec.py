@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import dense_cphase_matrix, random_state, reference_cphase, xnor_class
+from toricgate import statevec
 from toricgate.spin_model import DiagonalTwoQubitGate
 from toricgate.statevec import (GatePlacement, StateVector, apply_cphase,
                                 concurrence, extract_phase_classes,
@@ -44,6 +45,15 @@ def test_state_vector_validation():
 def test_state_vector_rejects_non_finite(amps):
     with pytest.raises(ValueError):
         StateVector(amps)
+
+
+@pytest.mark.parametrize("norm_sq", [math.nan, math.inf, -math.inf, 1 + 2e-9, 1 - 2e-9])
+def test_state_vector_checks_an_adopted_norm(norm_sq):
+    # the |psi|^2 handed in by apply_cphase is checked as a summed one is
+    amps = np.array([1.0, 0.0], dtype=complex)
+    with pytest.raises(ValueError, match="not normalized"):
+        StateVector(amps, _owned=True, _norm_sq=norm_sq)
+    assert StateVector(amps, _owned=True, _norm_sq=1 + 5e-10).n_qubits == 1
 
 
 def test_state_vector_copies_caller_input():
@@ -188,6 +198,42 @@ def test_apply_every_ordered_pair_matches_references(n):
             assert not out.amplitudes.flags.writeable
             assert not np.shares_memory(out.amplitudes, s.amplitudes)
     assert np.array_equal(s.amplitudes, before)
+
+
+@pytest.mark.parametrize("block", [2, 4, 64])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_apply_matches_reference_across_blocks(monkeypatch, block, n):
+    # small blocks put both bits above a block, one above and one inside, or
+    # both inside, so every way of choosing a block's factors is compared
+    monkeypatch.setattr(statevec, "_BLOCK", block)
+    s = StateVector(random_state(np.random.default_rng(200 + n), n))
+    gate = DiagonalTwoQubitGate.from_angles(0.61, -1.17)
+    for control in range(1, n + 1):
+        for target in range(1, n + 1):
+            if control != target:
+                out = apply_cphase(s, gate, GatePlacement(control, target))
+                want = reference_cphase(s.amplitudes, n, control, target,
+                                        gate.equal_bits_factor, gate.unequal_bits_factor)
+                assert np.array_equal(out.amplitudes, want)
+
+
+def test_apply_norm_summed_by_blocks_matches_vdot(monkeypatch):
+    adopted = []
+
+    def recording(amps, **kwargs):
+        adopted.append(kwargs["_norm_sq"])
+        return StateVector(amps, **kwargs)
+
+    monkeypatch.setattr(statevec, "StateVector", recording)
+    rng = np.random.default_rng(41)
+    gate = DiagonalTwoQubitGate.from_phi1(0.9)
+    for n in range(2, 17):
+        s = StateVector(random_state(rng, n))
+        for control, target in ((1, 2), (1, n), (n, n - 1)):
+            if control == target:
+                continue
+            out = apply_cphase(s, gate, GatePlacement(control, target)).amplitudes
+            assert abs(adopted.pop() - np.vdot(out, out).real) <= 1e-12
 
 
 def test_apply_allocates_only_the_output():
