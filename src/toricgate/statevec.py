@@ -106,10 +106,10 @@ def apply_cphase(state: StateVector, gate: DiagonalTwoQubitGate,
     block = min(_BLOCK, max(amps.size >> 4, 1))  # the factors stay within 1/8 of the state
     agree = bit_at(np.arange(block), c, n) == bit_at(np.arange(block), t, n)
     eq, ne = gate.equal_bits_factor, gate.unequal_bits_factor
-    factors = np.where(agree, eq, ne), np.where(agree, ne, eq)  # by the bits above a block
+    factors = np.where(agree, eq, ne), np.where(agree, ne, eq)  # bits above a block agree, differ
     out, norm_sq = np.empty_like(amps), 0.0
     for start in range(0, amps.size, block):
-        part = out[start:start + block]  # amplitudes first, as `amps * factors` multiplies
+        part = out[start:start + block]  # amplitudes first: with FMA the order sets the last bit
         np.multiply(amps[start:start + block], factors[bit_at(start, c, n) ^ bit_at(start, t, n)],
                     out=part)
         norm_sq += np.vdot(part, part).real
