@@ -14,20 +14,19 @@ writes as they come. Every text is formatted by `table_text`: integer tables
 looked up in byte vocabularies and laid out as one uint8 array per block,
 with the bit string of an index looked up a byte at a time (`label_fields`).
 The floats of the state text are a vocabulary too: `float_tokens` writes
-each double as `'%.17g' % x` does, byte for byte. Its 17 digits come exactly
-from the double's bits through a double-double decimal scale per binade,
-filled on first use; a row whose rounding that scale cannot decide (a
-near-tie), and any zero, subnormal, inf or nan, is written by `'%.17g'`
-itself.
+each double as `'%.17g' % x` does, byte for byte, and `_float_values` reads
+a token back as `float()` does, bit for bit. Both scale exactly through one
+table of double-double powers of ten, each row filled from `Fraction` the
+first time it is read (`_powers_of_ten`). What that scale cannot round for
+certain (a near-tie) is left to `'%.17g'` or `float()` itself, as are zeros,
+subnormals, inf and nan on the way out and tokens outside the word kernel's
+grammar on the way in.
 
 Texts are read the other way in blocks of whole lines (`_line_blocks`), each
 laid out as one uint8 array whose whitespace is a space or a line break
 (`_tokens`). A token is read from the little-endian uint64 words that end or
 start where it does (`_words_at`): a bit string 8 characters to a word
-(`indices_of`), and a float token by the writer's inverse, `_float_values`,
-whose digits are read a word at a time and scaled exactly through a
-double-double power of ten filled on first use; a token outside that
-grammar, and a near-tie, is left to `float()`.
+(`indices_of`), and the digits of a float token 8 to a word (`_float_values`).
 """
 from __future__ import annotations
 
@@ -151,34 +150,32 @@ def _opaque(piece: str | tuple[np.ndarray, np.ndarray], rows: int) -> np.ndarray
     return tokens.view(f"V{tokens.shape[1]}")[:, 0]
 
 
-# The decimal scale of each binade [2^e, 2^(e+1)) of normal doubles, by biased
-# exponent, filled the first time one of its values is formatted and never
-# changed after, so every caller reads the same table: the decimal
-# exponent k of 2^e, the bits of the smallest double >= 10^(k+1), and
-# C = 2^(e-52) * 10^(16-X) as an unevaluated sum hi + lo of doubles, for X = k
-# (even entry) and X = k + 1 (odd entry).
-_DECADE = np.zeros(2047, np.int64)
-_NEXT_DECADE = np.zeros(2047, np.uint64)
-_SCALE_HI, _SCALE_LO = np.zeros(2 * 2047), np.zeros(2 * 2047)
-_FILLED = np.zeros(2047, bool)
+# 10^q = (hi + lo) * 2^exp, 1 <= hi < 2, for q from _Q_LOW (where the reader's
+# D * 10^q, D < 10^19, stops being normal) to _Q_HIGH (the writer's largest
+# 10^(16 - X)), in row q - _Q_LOW. A row is filled the first time it is read,
+# hi last (0 until then), and never changed after: every caller reads the same.
+_Q_LOW, _Q_HIGH = -326, 324
+_TEN_HI, _TEN_LO = np.zeros(_Q_HIGH - _Q_LOW + 1), np.zeros(_Q_HIGH - _Q_LOW + 1)
+_TEN_EXP = np.zeros(_Q_HIGH - _Q_LOW + 1, np.int64)
 _TIE = 2.0 ** -30  # a computed fraction this close to 1/2 is left to '%.17g' or float()
 _SPLIT = 2.0 ** 27 + 1  # Veltkamp's constant: halves a double into 26-bit parts
 
 
-def _fill_scales(biased: np.ndarray) -> None:
-    """Fill the scale of every binade among the biased exponents 1..2046 given."""
-    for code in set(biased[~_FILLED[biased]].tolist()):
-        e = code - 1023
-        k = len(str(2 ** e)) - 1 if e >= 0 else -len(str(2 ** -e))
-        ten = Fraction(10) ** (k + 1)
-        bound = float(ten)  # correctly rounded, so at most one step below 10^(k+1)
-        bound = bound if Fraction(bound) >= ten else math.nextafter(bound, math.inf)
-        _DECADE[code], _NEXT_DECADE[code] = k, np.float64(bound).view(np.uint64)
-        for at, x in enumerate((k, k + 1), start=2 * code):
-            scale = Fraction(2) ** (e - 52) * Fraction(10) ** (16 - x)
-            _SCALE_HI[at] = float(scale)
-            _SCALE_LO[at] = float(scale - Fraction(_SCALE_HI[at]))
-        _FILLED[code] = True
+def _powers_of_ten(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """hi, lo and exp of 10^q for each q in _Q_LOW.._Q_HIGH, its row first
+    filled exactly from `Fraction` where it is not yet."""
+    row = q - _Q_LOW
+    if not _TEN_HI[row].all():
+        for at in set(row[_TEN_HI[row] == 0].tolist()):
+            ten = Fraction(10) ** (at + _Q_LOW)
+            exp = ten.numerator.bit_length() - ten.denominator.bit_length()
+            exp -= ten < Fraction(2) ** exp
+            mantissa = ten / Fraction(2) ** exp
+            hi = float(mantissa)
+            _TEN_LO[at] = float(mantissa - Fraction(hi))
+            _TEN_EXP[at] = exp
+            _TEN_HI[at] = hi
+    return _TEN_HI[row], _TEN_LO[row], _TEN_EXP[row]
 
 
 def _split(value: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -230,10 +227,11 @@ def float_tokens(values: np.ndarray) -> np.ndarray:
     array NUL-padded to 28 bytes (the NULs may sit anywhere in a row), for use
     as a `table_text` vocabulary.
 
-    A normal |x| = m * 2^(e-52), 2^52 <= m < 2^53, has the decimal exponent X
-    of its binade's 10^k, plus one where |x| reaches the smallest double
-    >= 10^(k+1); so 10^X <= |x| < 10^(X+1) exactly. Its 17 digits are
-    D = m * C rounded half to even, C = 2^(e-52) * 10^(16-X) held as hi + lo
+    A normal |x| = m * 2^(e-52), 2^52 <= m < 2^53, lies in [10^X, 10^(X+1)):
+    X is k = (e * 78913) >> 18, 10^k <= 2^e < 10^(k+1) (Adams's Ryu), plus one
+    where |x| reaches 10^(k+1) = (hi + lo) * 2^exp, at hi * 2^exp or, where
+    lo > 0, the double above. Its 17 digits are D = m * C rounded half to even,
+    C = 2^(e-52) * 10^(16-X), the hi + lo of 10^(16-X) times 2^(exp + e - 52)
     with |lo| <= ulp(hi)/2. Dekker's exact product gives m * hi = p + err; p
     is an integer since p >= 10^16 > 2^53, and err + m * lo is then within
     about 2^-47 of m * C - p. So unless the computed fraction lies within
@@ -271,11 +269,13 @@ def _decimal_digits(magnitude: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     biased = (magnitude >> np.uint64(52)).astype(np.intp)
     normal = (biased > 0) & (biased < 2047)
     biased[~normal] = 1  # any binade: these rows are written by '%.17g'
-    if not _FILLED[biased].all():
-        _fill_scales(biased)
-    up = magnitude >= _NEXT_DECADE[biased]
-    exponent = _DECADE[biased] + up
-    hi, lo = _SCALE_HI[2 * biased + up], _SCALE_LO[2 * biased + up]
+    decade = ((biased - 1023) * 78913) >> 18  # k, from e = biased - 1023
+    hi, lo, exp = _powers_of_ten(decade + 1)
+    next_decade = (hi.view(np.int64) + (exp << 52) + (lo > 0)).view(np.uint64)
+    exponent = decade + (magnitude >= next_decade)
+    hi, lo, exp = _powers_of_ten(16 - exponent)
+    scale = ((exp + biased - 52) << 52).view(np.float64)  # 2^(exp + e - 52), normal
+    hi, lo = hi * scale, lo * scale
     mantissa = ((magnitude & np.uint64(2 ** 52 - 1)) | np.uint64(2 ** 52)).astype(float)
     product, rest = _product(mantissa, hi)
     rest += mantissa * lo
@@ -407,28 +407,6 @@ def _bit_strings(buffer: np.ndarray, starts: np.ndarray, ends: np.ndarray,
     return index
 
 
-# The power 10^q = (hi + lo) * 2^exp, 1 <= hi < 2, of each decimal exponent q
-# from _Q_LOW (where D * 10^q, D < 10^19, stops being normal) to _Q_HIGH, by
-# q - _Q_LOW; filled the first time a token needs it and never changed after.
-_Q_LOW, _Q_HIGH = -326, 308
-_TEN_HI, _TEN_LO = np.zeros(_Q_HIGH - _Q_LOW + 1), np.zeros(_Q_HIGH - _Q_LOW + 1)
-_TEN_SCALE = np.zeros(_Q_HIGH - _Q_LOW + 1)  # 2^exp, 0 below the subnormals
-_TEN_FILLED = np.zeros(_Q_HIGH - _Q_LOW + 1, bool)
-
-
-def _fill_powers(rows: np.ndarray) -> None:
-    """Fill the power of ten of every row (q - _Q_LOW) given."""
-    for row in set(rows[~_TEN_FILLED[rows]].tolist()):
-        ten = Fraction(10) ** (row + _Q_LOW)
-        exp = ten.numerator.bit_length() - ten.denominator.bit_length()
-        exp -= ten < Fraction(2) ** exp
-        mantissa = ten / Fraction(2) ** exp
-        _TEN_HI[row] = float(mantissa)
-        _TEN_LO[row] = float(mantissa - Fraction(_TEN_HI[row]))
-        _TEN_SCALE[row] = math.ldexp(1.0, exp)
-        _TEN_FILLED[row] = True
-
-
 def _lanes(byte: int) -> np.uint64:
     """A uint64 word with `byte` in each of its 8 bytes."""
     return np.uint64(0x0101010101010101 * byte)
@@ -534,7 +512,7 @@ def _scaled(digits: np.ndarray, q: np.ndarray,
     """D * 10^q rounded to the nearest double where `exact`, and whether that
     rounding is certain: not within `_TIE` ulp of a midpoint, and normal.
 
-    10^q = (hi + lo) * 2^exp is filled exactly from `Fraction`. D is the
+    10^q = (hi + lo) * 2^exp is read from `_powers_of_ten`. D is the
     double nearest it plus an integer below 2^10; Dekker's product of that
     double with hi is exact, and the three terms left are summed with an
     error below 2^-90 of the product, against the 2^-53 of one ulp. So unless
@@ -542,14 +520,11 @@ def _scaled(digits: np.ndarray, q: np.ndarray,
     rounding is the correctly rounded D * 10^q, and scaling it by 2^exp is
     exact unless that leaves the normal range.
     """
-    row = (q - _Q_LOW) * exact
-    if not _TEN_FILLED[row].all():
-        _fill_powers(row)
-    hi = _TEN_HI[row]
+    hi, lo, exp = _powers_of_ten(q * exact)
     nearest = digits.astype(np.float64)
     part = (digits - nearest.astype(np.uint64)).view(np.int64).astype(np.float64)
     product, rest = _product(nearest, hi)
-    rest += nearest * _TEN_LO[row] + part * hi
+    rest += nearest * lo + part * hi
     near = product + rest
     off = rest - (near - product)  # near + off is product + rest exactly
     # the doubles on off's side of near are 2^(e - 52) apart, 2^e the binade
@@ -558,7 +533,7 @@ def _scaled(digits: np.ndarray, q: np.ndarray,
     half = (side & np.uint64(0x7FF << 52)).view(np.float64) * 2.0 ** -53
     exact &= np.abs(np.abs(off) - half) > 2 * _TIE * half
     with np.errstate(over="ignore"):
-        values = near * _TEN_SCALE[row]
+        values = np.ldexp(near, exp)
     exact &= ((values >= 2.0 ** -1022) & (values < math.inf)) | (digits == 0)
     return values, exact
 

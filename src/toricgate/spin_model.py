@@ -124,7 +124,8 @@ def hamiltonian_diagonal(params: PhysicalParams) -> tuple[float, float, float, f
     """
     pi_j = math.pi * params.coupling_j
     w_i, w_j = params.omega_i, params.omega_j
-    return (
+    return _finite(
+        "Hamiltonian entries",
         0.5 * (w_i + w_j + pi_j),
         0.5 * (w_i - w_j - pi_j),
         0.5 * (-w_i + w_j - pi_j),
@@ -136,7 +137,14 @@ def transition_frequencies(params: PhysicalParams) -> tuple[float, float]:
     """Spin-i transition frequencies (omega_plus, omega_minus) = omega_i +- pi*J,
     conditioned on the partner spin pointing up or down."""
     pi_j = math.pi * params.coupling_j
-    return params.omega_i + pi_j, params.omega_i - pi_j
+    return _finite("transition frequencies", params.omega_i + pi_j, params.omega_i - pi_j)
+
+
+def _finite(what: str, *values: float) -> tuple[float, ...]:
+    """The values, or a ValueError where finite parameters overflow one."""
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"physical parameters overflow: {what} are not finite")
+    return values
 
 
 def _cos_tilt(detuning: float, amplitude: float) -> float:

@@ -12,6 +12,8 @@ two one-block factor vectors, at most 1/8 of the state: 512.5 MiB at the cap.
 """
 from __future__ import annotations
 
+import codecs
+import itertools
 import math
 import numbers
 import operator
@@ -27,7 +29,7 @@ from .spin_model import DiagonalTwoQubitGate
 
 _NORM_TOL = 1e-9
 _HEADER = re.compile(r"n=([0-9]+)$")  # \d would take non-ASCII digits
-_READ_BLOCK = 1 << 18  # characters per read: bounds each block's byte tables
+_READ_BLOCK = 1 << 18  # characters or bytes per read: bounds each block's byte tables
 _BLOCK = 1 << 14  # amplitudes per block of apply_cphase: 256 KiB, within L2
 
 
@@ -191,9 +193,17 @@ def state_from_text(text: str) -> StateVector:
 
 
 def _read_state_file(path: str) -> StateVector:
-    """`state_from_text` of a file's text, read `_READ_BLOCK` characters at a time."""
-    with open(path) as file:
-        return _read_state(iter(lambda: file.read(_READ_BLOCK), ""))
+    """`state_from_text` of a file's UTF-8 text, read `_READ_BLOCK` bytes at a
+    time; a byte that is not UTF-8 is a ValueError naming its file offset."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    with open(path, "rb") as file:
+        reads = itertools.chain(iter(lambda: file.read(_READ_BLOCK), b""), [b""])  # b"": the end
+        try:
+            return _read_state(decoder.decode(data, final=not data) for data in reads)
+        except UnicodeDecodeError as exc:  # its object: the bytes held back, then the read
+            at = file.tell() - len(exc.object) + exc.start
+            raise ValueError(f"--input {path}: byte 0x{exc.object[exc.start]:02x} at offset "
+                             f"{at} is not UTF-8 ({exc.reason})") from None
 
 
 def _read_state(chunks: Iterable[str]) -> StateVector:
