@@ -1,5 +1,7 @@
 import itertools
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -145,6 +147,8 @@ def _planted():
         values += [ten, _below(ten), _above(ten)]
     for k in range(0, 1075):  # among them the exact ties 2^-25 and 3 * 2^-24
         values += [2.0 ** -k, 3 * 2.0 ** -k]
+    for e in range(-1022, 1024):  # both ends of every normal binade
+        values += [math.ldexp(1.0, e), math.ldexp(2.0 - 2.0 ** -52, e)]
     return values + [-x for x in values]
 
 
@@ -158,6 +162,22 @@ def test_float_tokens_of_planted_values():
     carried = [k for k in range(-307, 309) if _below_power_of_ten(float(f"1e{k}"), k)
                and ("%.17g" % float(f"1e{k}")).split("e")[0].strip("0.") == "1"]
     assert {-305, -14} <= set(carried)
+
+
+def test_powers_of_ten_are_filled_on_first_use_only():
+    # no row at import; formatting 1.0 reads the rows of 10^1 and 10^16, and
+    # reading it back the row of 10^0
+    code = "\n".join([
+        "import numpy as np, toricgate",
+        "from toricgate import bits",
+        "filled = [int(np.count_nonzero(bits._TEN_HI))]",
+        "bits.float_tokens(np.array([1.0]))",
+        "filled.append(int(np.count_nonzero(bits._TEN_HI)))",
+        "bits._float_values(np.frombuffer(b' ' * 24 + b'1  ', np.uint8), *np.array([[24], [25]]))",
+        "print(filled + [int(np.count_nonzero(bits._TEN_HI))])"])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[0, 2, 3]\n", "")
 
 
 def _below_power_of_ten(x, k):

@@ -44,6 +44,19 @@ def test_transition_frequencies_mean_is_omega_i():
         assert (plus + minus) / 2.0 == pytest.approx(10.0, abs=1e-12)
 
 
+def test_overflowing_parameters_are_refused():
+    # finite parameters that validation accepts: pi * J alone overflows, and
+    # without J only the sums of the Hamiltonian's entries do
+    p = PhysicalParams(1.7e308, 1e308, 1e308, 0.0, 1.0)
+    for function in (hamiltonian_diagonal, transition_frequencies, berry_phases):
+        with pytest.raises(ValueError, match="not finite"):
+            function(p)
+    p = PhysicalParams(1.7e308, 1e308, 0.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="not finite"):
+        hamiltonian_diagonal(p)
+    assert transition_frequencies(p) == (1.7e308, 1.7e308)
+
+
 def test_berry_phases_zero_coupling_no_shift():
     r = berry_phases(_params(coupling_j=0.0))
     assert r.shift == 0.0

@@ -2,6 +2,7 @@
 rejected inputs (library, CLI and process), agreement with the line list
 reader it replaced, and the memory the two text functions use."""
 import io
+import os
 import re
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from helpers import random_state, reference_state_from_text, reference_state_text
 from toricgate import statevec
-from toricgate.bits import _decimal_values, _tokens
+from toricgate.bits import _decimal_digits, _decimal_values, _tokens
 from toricgate.cli import main
 from toricgate.statevec import StateVector, state_from_text, state_to_text
 
@@ -205,6 +206,8 @@ def test_random_states_need_no_float_fallback(writer):
     # the states of the benchmark: normal parts, normalized, written '%.17g'
     state = StateVector(random_state(np.random.default_rng(17), 14))
     assert _decimal_values(*_floats_of(writer(state)))[1].all()
+    # and the writer takes every part's digits from its kernel, none from '%.17g'
+    assert _decimal_digits(np.abs(state.amplitudes.view(np.float64)).view(np.uint64))[2].all()
 
 
 def _mutated(draw, token):
@@ -274,10 +277,10 @@ def test_reader_agrees_with_the_line_list_reader(text, block):
         assert _same_bits(got.amplitudes, want)
 
 
-def _apply_process(path):
+def _apply_process(path, env=None):
     return subprocess.run([sys.executable, "-m", "toricgate", "apply", "--input", str(path),
                            "--control", "1", "--target", "2", "--phi1", "0.3"],
-                          capture_output=True, timeout=120)
+                          capture_output=True, timeout=120, env=env)
 
 
 @pytest.mark.parametrize("damage", ["invalid UTF-8", "truncated mid-line"])
@@ -291,3 +294,18 @@ def test_apply_process_rejects_a_file_damaged_after_the_first_block(damage, tmp_
     proc = _apply_process(path)
     assert (proc.returncode, proc.stdout) == (2, b"")
     assert proc.stderr.startswith(b"toricgate: error: ") and proc.stderr.count(b"\n") == 1
+    if damage == "invalid UTF-8":  # the byte is named by its offset in the file
+        assert f"--input {path}: byte 0xff at offset {at} ".encode() in proc.stderr
+
+
+def test_apply_process_reads_utf8_under_an_ascii_locale(tmp_path):
+    # the C locale, neither coerced to UTF-8 nor in UTF-8 mode: a text-mode
+    # open() would decode the file as ASCII and refuse the U+2028 breaks
+    text = state_to_text(StateVector(random_state(np.random.default_rng(5), 4)))
+    plain, wide = tmp_path / "plain.txt", tmp_path / "wide.txt"
+    plain.write_text(text)
+    wide.write_bytes(text.replace("\n", "\u2028").encode("utf-8"))
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    proc, want = _apply_process(wide, env), _apply_process(plain)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == want.stdout and want.stdout.startswith(b"n=4\n")
