@@ -171,8 +171,7 @@ def berry_phases(params: PhysicalParams) -> BerryPhaseResult:
     gamma_minus = math.pi * (1.0 - cos_minus)
     shift = gamma_plus + gamma_minus
     # every output is finite once both cosines are, and shift depends on both
-    if not math.isfinite(shift):
-        raise ValueError("drive parameters overflow: Berry phases are not finite")
+    _finite("Berry phases", shift)
     return BerryPhaseResult(
         cos_theta_plus=cos_plus,
         cos_theta_minus=cos_minus,

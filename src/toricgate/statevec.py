@@ -193,17 +193,23 @@ def state_from_text(text: str) -> StateVector:
 
 
 def _read_state_file(path: str) -> StateVector:
-    """`state_from_text` of a file's UTF-8 text, read `_READ_BLOCK` bytes at a
-    time; a byte that is not UTF-8 is a ValueError naming its file offset."""
-    decoder = codecs.getincrementaldecoder("utf-8")()
+    """`state_from_text` of a file's UTF-8 text, read `_READ_BLOCK` bytes at a time."""
     with open(path, "rb") as file:
-        reads = itertools.chain(iter(lambda: file.read(_READ_BLOCK), b""), [b""])  # b"": the end
+        return _read_state(_utf8_text(path, iter(lambda: file.read(_READ_BLOCK), b"")))
+
+
+def _utf8_text(path: str, reads: Iterable[bytes]) -> Iterator[str]:
+    """The UTF-8 text of the reads of `--input <path>`, refused at a byte's file offset."""
+    decoder, read = codecs.getincrementaldecoder("utf-8")(), 0
+    for data in itertools.chain(reads, [b""]):  # b"": the end, where no byte may be held
+        read += len(data)
         try:
-            return _read_state(decoder.decode(data, final=not data) for data in reads)
-        except UnicodeDecodeError as exc:  # its object: the bytes held back, then the read
-            at = file.tell() - len(exc.object) + exc.start
+            text = decoder.decode(data, final=not data)
+        except UnicodeDecodeError as exc:  # its object: the bytes held back, then data
+            at = read - len(exc.object) + exc.start
             raise ValueError(f"--input {path}: byte 0x{exc.object[exc.start]:02x} at offset "
                              f"{at} is not UTF-8 ({exc.reason})") from None
+        yield text
 
 
 def _read_state(chunks: Iterable[str]) -> StateVector:
