@@ -199,7 +199,7 @@ def _read_state_file(path: str) -> StateVector:
 
 
 def _utf8_text(path: str, reads: Iterable[bytes]) -> Iterator[str]:
-    """The UTF-8 text of the reads of `--input <path>`, refused at a byte's file offset."""
+    """The reads of `--input <path>` decoded as UTF-8; a refused byte names its file offset."""
     decoder, read = codecs.getincrementaldecoder("utf-8")(), 0
     for data in itertools.chain(reads, [b""]):  # b"": the end, where no byte may be held
         read += len(data)
