@@ -533,7 +533,7 @@ def _scaled(digits: np.ndarray, q: np.ndarray,
     half = (side & np.uint64(0x7FF << 52)).view(np.float64) * 2.0 ** -53
     exact &= np.abs(np.abs(off) - half) > 2 * _TIE * half
     with np.errstate(over="ignore"):
-        values = np.ldexp(near, exp)
+        values = np.ldexp(near, exp.astype(np.intc))  # numpy's int64-exponent loop is slow
     exact &= ((values >= 2.0 ** -1022) & (values < math.inf)) | (digits == 0)
     return values, exact
 

@@ -9,6 +9,10 @@ which is why the placement is symmetric under swapping control and target.
 `apply_cphase` reads the state once, `_BLOCK` amplitudes at a time, summing
 each block's |amp|^2 while it is in cache. Besides its output it allocates
 two one-block factor vectors, at most 1/8 of the state: 512.5 MiB at the cap.
+From `_SPARE_MIN` amplitudes (32 MiB) up, it writes into the buffer of one of
+its last two outputs that nothing refers to any more, so a chain of gates does
+not fault in fresh zeroed pages. Below that, malloc reuses freed memory itself,
+and buffers held back would keep glibc from raising its mmap threshold.
 """
 from __future__ import annotations
 
@@ -18,6 +22,8 @@ import math
 import numbers
 import operator
 import re
+import sys
+import threading
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
@@ -31,6 +37,11 @@ _NORM_TOL = 1e-9
 _HEADER = re.compile(r"n=([0-9]+)$")  # \d would take non-ASCII digits
 _READ_BLOCK = 1 << 18  # characters or bytes per read: bounds each block's byte tables
 _BLOCK = 1 << 14  # amplitudes per block of apply_cphase: 256 KiB, within L2
+_SPARE_MIN = 1 << 21  # amplitudes of the smallest output whose buffer is kept as a spare
+_spares: list[np.ndarray] = []  # the buffers of the last two such outputs, oldest first
+_SPARES_LOCK = threading.Lock()  # held while a spare is looked for: no two threads take one
+# the reference count of a spare that nothing else refers to, read the way `_spare` reads it
+_ALONE = next(map(sys.getrefcount, [np.empty(0)]))
 
 
 @dataclass(frozen=True)
@@ -109,13 +120,27 @@ def apply_cphase(state: StateVector, gate: DiagonalTwoQubitGate,
     agree = bit_at(np.arange(block), c, n) == bit_at(np.arange(block), t, n)
     eq, ne = gate.equal_bits_factor, gate.unequal_bits_factor
     factors = np.where(agree, eq, ne), np.where(agree, ne, eq)  # bits above a block agree, differ
-    out, norm_sq = np.empty_like(amps), 0.0
+    out, norm_sq = np.empty_like(amps) if amps.size < _SPARE_MIN else _spare(amps), 0.0
     for start in range(0, amps.size, block):
         part = out[start:start + block]  # amplitudes first: with FMA the order sets the last bit
         np.multiply(amps[start:start + block], factors[bit_at(start, c, n) ^ bit_at(start, t, n)],
                     out=part)
         norm_sq += np.vdot(part, part).real
     return StateVector(out, _owned=True, _norm_sq=norm_sq)
+
+
+def _spare(amps: np.ndarray) -> np.ndarray:
+    """A writeable buffer for a gate's output on `amps`: the oldest spare of
+    that size that nothing else refers to, or else a new one; either way it
+    becomes the newest spare."""
+    with _SPARES_LOCK:
+        free = [at for at, refs in enumerate(map(sys.getrefcount, _spares))
+                if refs == _ALONE and _spares[at].size == amps.size]
+        out = _spares.pop(free[0]) if free else np.empty_like(amps)
+        _spares.append(out)
+        del _spares[:-2]
+    out.flags.writeable = True
+    return out
 
 
 def concurrence(state: StateVector) -> float:

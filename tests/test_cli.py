@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -510,10 +511,7 @@ def argv_paths(tmp_path_factory):
     return {name: str(root / name) for name in [*_PATHS, "out", "no-dir/out"]}
 
 
-@pytest.mark.parametrize("command", sorted(_ARGV_FLAGS))
-@settings(derandomize=True, max_examples=150, deadline=None)
-@given(data=st.data())
-def test_any_argv_exits_0_1_or_2_with_one_error_line(command, argv_paths, data):
+def _drawn_argv(command, argv_paths, data):
     argv = [command]
     for flags, values in _ARGV_FLAGS[command].items():
         if not data.draw(st.integers(0, 7), label=f"{flags[0]} given"):
@@ -524,19 +522,55 @@ def test_any_argv_exits_0_1_or_2_with_one_error_line(command, argv_paths, data):
             else:  # `--flag=value`, so that argparse reads "-inf" as a value
                 value = data.draw(st.sampled_from(values), label=flag)
                 argv.append(f"{flag}={argv_paths.get(value, value)}")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code, out, err = invoke(argv)
+    return argv
+
+
+def _check_exit(command, code, out, err):
+    """Exit 0, 1 or 2; a nonzero exit writes nothing to stdout and one error
+    line, after the usage message on a parse error."""
     assert code in (0, 1, 2)
     assert "Traceback" not in err
-    assert not caught, [str(w.message) for w in caught]
     if code == 0:
         assert err == ""
         return
-    # a nonzero exit writes nothing to stdout and one error line, after the
-    # usage message on a parse error
     lines = err.splitlines()
     assert out == ""
     assert [line for line in lines if ": error: " in line] == lines[-1:]
     assert lines[-1].startswith(("toricgate: error: ", f"toricgate {command}: error: "))
     assert all(line.startswith(("usage: ", " ")) for line in lines[:-1])
+
+
+@pytest.mark.parametrize("command", sorted(_ARGV_FLAGS))
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_any_argv_exits_0_1_or_2_with_one_error_line(command, argv_paths, data):
+    argv = _drawn_argv(command, argv_paths, data)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = invoke(argv)
+    assert not caught, [str(w.message) for w in caught]
+    _check_exit(command, code, out, err)
+
+
+@pytest.mark.parametrize("command", sorted(_ARGV_FLAGS))
+def test_any_argv_exits_0_1_or_2_with_one_error_line_as_a_process(command, argv_paths):
+    # a derandomized slice of the property above, each run as `python -m
+    # toricgate` with every warning shown: what the interpreter prints as it
+    # exits (a flush of a closed stream, an exception in a finalizer) shows here
+    drawn = []
+
+    @settings(derandomize=True, max_examples=10, deadline=None, database=None)
+    @given(data=st.data())
+    def draw(data):
+        drawn.append(_drawn_argv(command, argv_paths, data))
+
+    draw()
+
+    def run(argv):
+        return subprocess.run([sys.executable, "-W", "always", "-m", "toricgate", *argv],
+                              capture_output=True, text=True, timeout=120)
+
+    with ThreadPoolExecutor(2) as pool:  # two processes at a time
+        for argv, proc in zip(drawn, pool.map(run, drawn)):
+            assert "Exception ignored" not in proc.stderr, argv
+            _check_exit(command, proc.returncode, proc.stdout, proc.stderr)

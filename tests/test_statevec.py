@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -248,6 +250,129 @@ def test_apply_allocates_only_the_output():
     want = reference_cphase(s.amplitudes, n, 11, 3,
                             gate.equal_bits_factor, gate.unequal_bits_factor)
     assert np.array_equal(out.amplitudes, want)
+
+
+@pytest.fixture
+def spares(monkeypatch):
+    """Every apply_cphase output is kept as a spare, in this test's own list."""
+    monkeypatch.setattr(statevec, "_SPARE_MIN", 1)
+    monkeypatch.setattr(statevec, "_spares", [])
+
+
+def _random_gates(rng, n, count):
+    """`count` gates with random angles on random ordered qubit pairs."""
+    gates = []
+    for _ in range(count):
+        control, target = rng.choice(np.arange(1, n + 1), 2, replace=False).tolist()
+        gate = DiagonalTwoQubitGate.from_angles(*rng.uniform(-math.pi, math.pi, 2))
+        gates.append((gate, GatePlacement(control, target)))
+    return gates
+
+
+def _chain(state, gates):
+    for gate, placement in gates:
+        state = apply_cphase(state, gate, placement)
+    return state
+
+
+@pytest.mark.parametrize("hold", [
+    lambda amps: amps[3:], memoryview, np.asarray, lambda amps: amps[1:].base,
+    lambda amps: amps.view(np.float64)[::2], lambda amps: np.asarray(memoryview(amps[2:]))],
+    ids=["slice", "memoryview", "asarray", "slice-base", "real-view", "memoryview-array"])
+def test_a_held_part_of_a_dead_state_is_never_overwritten(spares, hold):
+    rng = np.random.default_rng(7)
+    gates = _random_gates(rng, 6, 8)
+    state = _chain(StateVector(random_state(rng, 6)), gates[:2])
+    held = hold(state.amplitudes)
+    want = np.array(held, copy=True)
+    for gate, placement in gates[2:]:  # after one more gate, only `held` refers to it
+        state = apply_cphase(state, gate, placement)
+    assert np.array_equal(np.asarray(held), want)
+    assert len(statevec._spares) == 2
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_chains_on_spares_match_reference_chains(spares, n):
+    # some states of each chain are kept to its end, and must read as they did
+    rng = np.random.default_rng(300 + n)
+    for _ in range(4):
+        start = StateVector(random_state(rng, n))
+        state, want, kept = start, start.amplitudes, []
+        for gate, placement in _random_gates(rng, n, int(rng.integers(3, 21))):
+            state = apply_cphase(state, gate, placement)
+            want = reference_cphase(want, n, placement.control, placement.target,
+                                    gate.equal_bits_factor, gate.unequal_bits_factor)
+            assert np.array_equal(state.amplitudes, want)
+            if rng.random() < 0.3:
+                kept.append((state, want))
+        for held, values in kept:
+            assert np.array_equal(held.amplitudes, values)
+
+
+def _traced_peak(apply):
+    tracemalloc.start()
+    try:
+        out = apply()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_a_free_spare_is_reused_and_a_held_one_is_not(spares):
+    n = 16
+    rng = np.random.default_rng(9)
+    (g1, p1), (g2, p2), (g3, p3), (g4, p4) = _random_gates(rng, n, 4)
+    first = apply_cphase(StateVector(random_state(rng, n)), g1, p1)
+    second = apply_cphase(first, g2, p2)
+    nbytes = first.amplitudes.nbytes
+    # both spares are held, by `first` and by the input `second`
+    third, peak = _traced_peak(lambda: apply_cphase(second, g3, p3))
+    assert peak >= nbytes
+    del first, third  # the spare of `third` is now free
+    fourth, peak = _traced_peak(lambda: apply_cphase(second, g4, p4))
+    assert peak < nbytes / 4
+    want = reference_cphase(second.amplitudes, n, p4.control, p4.target,
+                            g4.equal_bits_factor, g4.unequal_bits_factor)
+    assert np.array_equal(fourth.amplitudes, want)
+
+
+def test_a_state_on_a_spare_is_read_only(spares):
+    rng = np.random.default_rng(11)
+    state = _chain(StateVector(random_state(rng, 5)), _random_gates(rng, 5, 6))
+    amps = state.amplitudes
+    for array in (amps, amps if amps.base is None else amps.base):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
+        with pytest.raises(TypeError):
+            memoryview(array).cast("B")[0] = 0
+
+
+def test_threads_never_share_a_spare(spares):
+    rng = np.random.default_rng(13)
+    starts = [StateVector(random_state(rng, 10)) for _ in range(4)]
+    chains = [_random_gates(rng, 10, 50) for _ in range(4)]
+    serial = [_chain(start, gates).amplitudes for start, gates in zip(starts, chains)]
+    results, barrier = [None] * 4, threading.Barrier(4)
+
+    def run(k):
+        barrier.wait(timeout=60)
+        results[k] = _chain(starts[k], chains[k]).amplitudes
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for got, want in zip(results, serial):
+        assert np.array_equal(got, want)
 
 
 def test_concurrence_uniform_is_zero():
