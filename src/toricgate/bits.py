@@ -18,7 +18,7 @@ each double as `'%.17g' % x` does, byte for byte, and `_float_values` reads
 a token back as `float()` does, bit for bit. Both scale exactly through one
 table of double-double powers of ten, each row filled from `Fraction` the
 first time it is read (`_powers_of_ten`). What that scale cannot round for
-certain (a near-tie) is left to `'%.17g'` or `float()` itself, as are zeros,
+certain (a near-tie) is left to `'%.17g'` or `float()` itself, as are
 subnormals, inf and nan on the way out and tokens outside the word kernel's
 grammar on the way in.
 
@@ -40,6 +40,15 @@ import numpy as np
 
 MAX_QUBITS = 24
 _TEXT_BLOCK = 4096  # lines per block: bounds each table, token array and block
+
+
+def _adopt(cls, **fields):
+    """An instance of one of the package's frozen classes over values its
+    module has built and checked itself, taken as they are: `__post_init__`
+    does not run, so nothing is checked twice."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def qubit_mask(qubit: int, n_qubits: int) -> int:
@@ -69,20 +78,14 @@ def cube_edges(n: int) -> np.ndarray:
 
 
 def cube_edge_blocks(n: int) -> Iterator[np.ndarray]:
-    """The rows of `cube_edges(n)`, `_TEXT_BLOCK` at a time, in order, built
-    from `_TEXT_BLOCK` low ends at a time and never all at once."""
+    """The rows of `cube_edges(n)` in order, in blocks of up to `_TEXT_BLOCK`,
+    built from `_TEXT_BLOCK` low ends at a time and never all at once."""
     flips = 1 << np.arange(n)
-    carry = np.empty((0, 2), np.int64)
     for start in range(0, 1 << n, _TEXT_BLOCK):
         low = np.arange(start, min(start + _TEXT_BLOCK, 1 << n))[:, None]
         keep = (low & flips) == 0  # row-major: low ascending, then the flipped bit
         edges = np.stack((np.broadcast_to(low, keep.shape)[keep], (low | flips)[keep]), axis=1)
-        edges = np.concatenate((carry, edges))
-        whole = len(edges) - len(edges) % _TEXT_BLOCK
-        yield from row_blocks(edges[:whole])
-        carry = edges[whole:]
-    if len(carry):
-        yield carry
+        yield from row_blocks(edges)
 
 
 def bitstring(index: int, n_qubits: int) -> str:
@@ -237,11 +240,11 @@ def float_tokens(values: np.ndarray) -> np.ndarray:
     about 2^-47 of m * C - p. So unless the computed fraction lies within
     `_TIE` of 1/2, it sits on the same side of 1/2 as the true one, and
     D = p + floor + (fraction > 1/2) is exact (10^17 becomes 10^16, X + 1).
-    Those near-ties (the exact ties 2^-25 and 3 * 2^-24 among them), zeros,
+    Those near-ties (the exact ties 2^-25 and 3 * 2^-24 among them),
     subnormals, inf and nan are written by `'%.17g' % x`, one row at a time.
     The rest are laid out by the `%g` rules: fixed notation when
     -4 <= X < 17, else `d.ddde+XX`, with trailing zeros and a bare point
-    dropped.
+    dropped; a zero, D = 0 and X = 0, is laid out as `0` or `-0`.
     """
     floats = np.ascontiguousarray(values, dtype=np.float64)
     bits = floats.view(np.uint64)
@@ -285,7 +288,9 @@ def _decimal_digits(magnitude: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     carry = digits == 10 ** 17
     digits[carry] = 10 ** 16
     exponent += carry
-    return digits, exponent, normal & (np.abs(fraction - 0.5) > _TIE)
+    zero = magnitude == 0
+    digits[zero] = exponent[zero] = 0
+    return digits, exponent, (normal & (np.abs(fraction - 0.5) > _TIE)) | zero
 
 
 def _alphabet(digits: np.ndarray, quads: np.ndarray,

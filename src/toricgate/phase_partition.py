@@ -12,18 +12,17 @@ no class set, edge table or sort is built unless asked for.
 """
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .bits import MAX_QUBITS, label_fields, pair_view, qubit_mask, row_blocks, table_text
+from .bits import MAX_QUBITS, _adopt, label_fields, pair_view, qubit_mask, row_blocks, table_text
 from .statevec import GatePlacement, _check_placement
 
 # class graphs hold (n-1)*2^(n-2) edge tuples: `class_graph`, `is_connected` and
-# `is_hypercube_isomorphic` of one class peak at 544 MiB at n = 19, 1089 MiB at 20
+# `is_hypercube_isomorphic` of one class peak at 501 MiB at n = 19, 1021 MiB at 20
 MAX_GRAPH_QUBITS = 19
 
 
@@ -60,8 +59,9 @@ class ClassGraph:
 
     Edges are (low, high) index pairs; every vertex has degree n-1. Graphs
     of more than `MAX_GRAPH_QUBITS` qubits are refused. The validated arrays
-    are kept as the read-only `_verts` (distinct, ascending) and `_ends` (one
-    row per edge) that `is_hypercube_isomorphic` reads.
+    are kept as the read-only `_verts` and `_ends` (distinct and ascending,
+    an edge a row), which `class_graph` hands over as built and
+    `is_connected` and `is_hypercube_isomorphic` read.
     """
 
     n_qubits: int
@@ -74,7 +74,8 @@ class ClassGraph:
         _check_graph_qubits(self.n_qubits)
         if self.phase_class not in ("phi1", "phi2"):
             raise ValueError("phase_class must be 'phi1' or 'phi2'")
-        verts = np.unique(np.array(self.vertices, dtype=np.int64))
+        verts = np.sort(np.array(self.vertices, dtype=np.int64))
+        verts = verts[np.diff(verts, prepend=verts[:1] - 1) != 0]  # distinct, no hash table
         ends = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
         unordered, foreign = ends[:, 0] >= ends[:, 1], ~np.isin(ends, verts)
         # the first bad edge decides the message: its order, then its ends
@@ -86,9 +87,10 @@ class ClassGraph:
         degree = np.bincount(np.searchsorted(verts, ends).ravel(), minlength=verts.size)
         if (degree != want).any():
             raise ValueError(f"every vertex must have degree {want}")
+        ends = ends[np.lexsort(ends.T[::-1])]
+        ends = ends[np.diff(ends, axis=0, prepend=ends[:1] - 1).any(axis=1)]
         verts.flags.writeable = ends.flags.writeable = False
-        object.__setattr__(self, "_verts", verts)
-        object.__setattr__(self, "_ends", ends)
+        self.__dict__.update(_verts=verts, _ends=ends)  # past the frozen setattr, as `_adopt`
 
     def diagonal_mask(self) -> int:
         n = self.n_qubits
@@ -170,8 +172,11 @@ def class_graph(partition: PhasePartition, which: str) -> ClassGraph:
     _check_graph_qubits(n)
     verts, edges = _class_arrays(partition, which)
     keys = np.sort(np.concatenate([(lows << n) | (lows ^ move) for lows, move in edges]))
-    return ClassGraph(n, partition.placement, which, tuple(verts.tolist()),
-                      tuple(zip((keys >> n).tolist(), (keys & ((1 << n) - 1)).tolist())))
+    ends = np.stack((keys >> n, keys & ((1 << n) - 1)), axis=1)
+    verts.flags.writeable = ends.flags.writeable = False
+    return _adopt(ClassGraph, n_qubits=n, placement=partition.placement, phase_class=which,
+                  vertices=tuple(verts.tolist()), edges=tuple(zip(*ends.T.tolist())),
+                  _verts=verts, _ends=ends)
 
 
 def drop_target_bit(vertex: int | np.ndarray, n_qubits: int, target: int) -> int | np.ndarray:
@@ -192,9 +197,7 @@ def is_hypercube_isomorphic(graph: ClassGraph) -> HypercubeMatch:
     certificate as well.
     """
     n, target = graph.n_qubits, graph.placement.target
-    verts, ends = graph._verts, graph._ends
-    keys = np.unique(ends[:, 0] << n | ends[:, 1])  # the distinct edges
-    lows, highs = keys >> n, keys & ((1 << n) - 1)
+    verts, (lows, highs) = graph._verts, graph._ends.T
     failure = _hypercube_failure(n, target, verts, [(lows, lows ^ highs)])
     witness = tuple(zip(verts.tolist(), drop_target_bit(verts, n, target).tolist()))
     return HypercubeMatch(failure is None, n - 1, witness, failure)
@@ -228,24 +231,20 @@ def _hypercube_failure(n: int, target: int, verts: np.ndarray,
 
 
 def is_connected(graph: ClassGraph) -> bool:
-    """Breadth-first reachability over the class edges, for at most
-    `MAX_GRAPH_QUBITS` qubits."""
+    """Whether the class edges join every vertex (at most `MAX_GRAPH_QUBITS`
+    qubits): each round hooks every root to its least smaller neighbouring
+    root, then jumps pointers to the roots (Shiloach & Vishkin); O(log V) rounds."""
     _check_graph_qubits(graph.n_qubits)
-    if not graph.vertices:
-        return True
-    adjacency: dict[int, list[int]] = {v: [] for v in graph.vertices}
-    for u, v in graph.edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    seen = {graph.vertices[0]}
-    queue = deque(seen)
-    while queue:
-        v = queue.popleft()
-        for u in adjacency[v]:
-            if u not in seen:
-                seen.add(u)
-                queue.append(u)
-    return len(seen) == len(graph.vertices)
+    parent = np.arange(graph._verts.size)  # by position; a root points at itself
+    ends = np.searchsorted(graph._verts, graph._ends)
+    while ends.size:  # the edges between two trees
+        roots = parent[ends]
+        np.minimum.at(parent, roots[:, 0], roots[:, 1])
+        np.minimum.at(parent, roots[:, 1], roots[:, 0])
+        while not np.array_equal(parent, grand := parent[parent]):
+            parent = grand
+        ends = ends[parent[ends[:, 0]] != parent[ends[:, 1]]]
+    return not parent.any()  # every vertex's root is the first
 
 
 def intersection_summary(partition: PhasePartition) -> IntersectionSummary:

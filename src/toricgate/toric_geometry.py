@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .bits import bit_at, row_blocks, table_text, vocabulary
+from .bits import _adopt, bit_at, row_blocks, table_text, vocabulary
 
 MAX_FACTORS = 16
 
@@ -67,15 +67,6 @@ def primitive_vector(vec: Sequence) -> IntVector:
         raise ValueError("the zero vector has no primitive form")
     denom = lcm(*(f.denominator for f in fracs))
     return _coprime([f.numerator * (denom // f.denominator) for f in fracs])
-
-
-def _adopt(cls, **fields):
-    """An instance of one of the frozen classes here over values this module
-    has built and checked itself, taken as they are: `__post_init__` does
-    not run, so nothing is checked twice."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
 
 
 def _distinct_vectors(dimension: int, vectors: Iterable[Sequence[int]]) -> tuple[IntVector, ...]:

@@ -1,6 +1,7 @@
 """Shared oracles for the test suite, independent of the library internals."""
 import itertools
 import re
+from collections import deque
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -118,6 +119,26 @@ def cube_match_oracle(n, target, vertices, edges):
     if extra or missing:
         return False, f"edge sets differ after relabeling: {extra} extra, {missing} missing"
     return True, None
+
+
+def bfs_connected(vertices, edges):
+    """Whether the edges join every one of the distinct vertices, by
+    breadth-first search over a dict of neighbour lists; the graph with no
+    vertex is connected."""
+    if not vertices:
+        return True
+    adjacency = {v: [] for v in vertices}
+    for u, v in edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    seen = {vertices[0]}
+    queue = deque(seen)
+    while queue:
+        for u in adjacency[queue.popleft()]:
+            if u not in seen:
+                seen.add(u)
+                queue.append(u)
+    return len(seen) == len(adjacency)
 
 
 def xnor_class(n, control, target, agree):

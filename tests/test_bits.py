@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from helpers import hypercube_edges
 from toricgate import bits
-from toricgate.bits import (_TEXT_BLOCK, _decimal_values, _float_values, bit_at, bitstring,
-                            cube_edge_blocks, cube_edges,
+from toricgate.bits import (_TEXT_BLOCK, _decimal_digits, _decimal_values, _float_values,
+                            bit_at, bitstring, cube_edge_blocks, cube_edges,
                             float_tokens, index_of, indices_of, label_fields, pair_view,
                             qubit_mask, row_blocks, table_text)
 
@@ -31,9 +31,9 @@ def test_cube_edges_of_the_point():
 
 @pytest.mark.parametrize("n", [0, 1, 2, 9, 10, 13, 14])
 def test_cube_edge_blocks_are_the_edge_table_in_full_blocks(n):
-    # from n = 10 on, the edges of one range of low ends span several blocks
+    # from n = 10 on, the edges of one range of low ends span several blocks,
+    # the last of them short: no block but the last need be full
     blocks = list(cube_edge_blocks(n))
-    assert all(len(block) == _TEXT_BLOCK for block in blocks[:-1])
     assert all(0 < len(block) <= _TEXT_BLOCK for block in blocks)
     assert [tuple(e) for block in blocks for e in block.tolist()] == sorted(hypercube_edges(n))
 
@@ -211,9 +211,17 @@ def test_fallback_rows_inside_one_block(monkeypatch):
     # window, 3 * 2^-24 is rounded half up, not half to even
     monkeypatch.setattr(bits, "_TIE", -1.0)
     assert _decoded(float_tokens(np.array([3 * 2.0 ** -24]))) == ["1.7881393432617187e-07"]
-    # and with every row sent there, the block is the same
+    # and with every row but the zeros sent there, the block is the same
     monkeypatch.setattr(bits, "_TIE", 1.0)
     assert _decoded(float_tokens(values)) == want
+
+
+def test_zeros_are_laid_out_from_the_tables():
+    # +0 and -0 need no '%.17g' call: 17 digits 0 at exponent 0 are laid out as "0"
+    zeros = np.array([0.0, -0.0])
+    digits, exponent, exact = _decimal_digits(zeros.view(np.uint64) & np.uint64(2 ** 63 - 1))
+    assert exact.all() and not digits.any() and not exponent.any()
+    assert _decoded(float_tokens(zeros)) == ["0", "-0"]
 
 
 def _read_floats(tokens):

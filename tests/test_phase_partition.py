@@ -1,4 +1,8 @@
+import dataclasses
 import itertools
+import math
+import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -6,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import cube_match_oracle, hypercube_edges, reference_partition_text, xnor_class
+from helpers import (bfs_connected, cube_match_oracle, hypercube_edges, reference_partition_text,
+                     xnor_class)
 from toricgate.bits import bitstring
 from toricgate.phase_partition import (MAX_GRAPH_QUBITS, ClassGraph, PhasePartition,
                                        class_graph, drop_target_bit, intersection_summary,
@@ -194,7 +199,8 @@ def test_class_graphs_are_capped_before_anything_is_built():
         ClassGraph(above, placement, "phi1", (), ())
     unchecked = object.__new__(ClassGraph)
     unchecked.__dict__.update(n_qubits=above, placement=placement, phase_class="phi1",
-                              vertices=(0,), edges=())
+                              vertices=(0,), edges=(), _verts=np.array([0]),
+                              _ends=np.empty((0, 2), np.int64))
     with pytest.raises(ValueError, match=message):
         is_connected(unchecked)
     # at the cap the refusal does not fire: the next check does
@@ -202,6 +208,100 @@ def test_class_graphs_are_capped_before_anything_is_built():
         ClassGraph(MAX_GRAPH_QUBITS, placement, "phi1", (0,), ())
     unchecked.__dict__.update(n_qubits=MAX_GRAPH_QUBITS)
     assert is_connected(unchecked)
+
+
+def test_class_graph_is_the_hand_built_graph_of_its_fields():
+    # class_graph hands its arrays over without the checks of a hand-built
+    # graph: they must be what those checks make of the same fields
+    for n in range(2, 11):
+        for control, target in itertools.permutations(range(1, n + 1), 2):
+            partition = partition_vertices(n, GatePlacement(control, target))
+            for which in ("phi1", "phi2"):
+                graph = class_graph(partition, which)
+                built = ClassGraph(**{field.name: getattr(graph, field.name)
+                                      for field in dataclasses.fields(graph)})
+                assert graph == built
+                assert (hash(graph), repr(graph)) == (hash(built), repr(built))
+                for name in ("_verts", "_ends"):
+                    adopted, checked = getattr(graph, name), getattr(built, name)
+                    assert adopted.dtype == checked.dtype and np.array_equal(adopted, checked)
+                    assert not adopted.flags.writeable and not checked.flags.writeable
+
+
+def _relabelled(rnd, parts):
+    """Disjoint copies of graphs on 0..k-1, given as edge lists, under one
+    random one-to-one relabelling to signed 62-bit labels, both in random order."""
+    vertices, edges = [], []
+    for part in parts:
+        k = 1 + max(max(edge) for edge in part)
+        edges += [(u + len(vertices), v + len(vertices)) for u, v in part]
+        vertices += range(len(vertices), len(vertices) + k)
+    labels = rnd.sample(range(-2 ** 61, 2 ** 61), len(vertices))
+    vertices = [labels[v] for v in vertices]
+    edges = [tuple(sorted((labels[u], labels[v]))) for u, v in edges]
+    rnd.shuffle(vertices)
+    rnd.shuffle(edges)
+    return tuple(vertices), tuple(edges)
+
+
+@st.composite
+def _regular_graphs(draw):
+    """A hand-built (n-1)-regular graph as (n, vertices, edges), and how many
+    components it has: one or two cycles of up to 2^12 vertices (n = 3), K4s
+    (n = 4) or cubes Q_m (n = m + 1); or no vertex at all."""
+    kind = draw(st.sampled_from(("cycle", "k4", "cube", "empty")))
+    if kind == "empty":
+        return draw(st.integers(2, 6)), (), (), 0
+    copies = draw(st.integers(1, 2))
+    if kind == "cycle":
+        sizes = [draw(st.integers(3, 2 ** 12)) for _ in range(copies)]
+        n, parts = 3, [[(i, (i + 1) % k) for i in range(k)] for k in sizes]
+    elif kind == "k4":
+        n, parts = 4, [list(itertools.combinations(range(4), 2))] * copies
+    else:
+        m = draw(st.integers(1, 6))
+        n, parts = m + 1, [sorted(hypercube_edges(m))] * copies
+    return (n, *_relabelled(draw(st.randoms(use_true_random=False)), parts), copies)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(_regular_graphs())
+def test_is_connected_agrees_with_breadth_first_search(case):
+    n, vertices, edges, components = case
+    graph = ClassGraph(n, GatePlacement(1, 2), "phi1", vertices, edges)
+    assert is_connected(graph) == bfs_connected(vertices, edges) == (components <= 1)
+
+
+def test_is_connected_is_no_slower_than_breadth_first_search():
+    # taking the least label of the neighbours and jumping once a round needs
+    # a round per step of the diameter, 2^15 on this cycle, and about 150
+    # times as long as the search; hooking roots and jumping fully needs O(log V)
+    vertices, edges = _relabelled(random.Random(16), [[(i, (i + 1) % 2 ** 16)
+                                                       for i in range(2 ** 16)]])
+    graph = ClassGraph(3, GatePlacement(1, 2), "phi1", vertices, edges)
+    times = {}
+    for check, args in ((is_connected, (graph,)), (bfs_connected, (vertices, edges))):
+        for _ in range(3):
+            start = time.perf_counter()
+            assert check(*args)
+            times[check] = min(times.get(check, math.inf), time.perf_counter() - start)
+    assert times[is_connected] <= 4 * times[bfs_connected]
+
+
+def test_is_connected_on_disjoint_copies_and_repeats():
+    placement, k4 = GatePlacement(1, 2), list(itertools.combinations(range(4), 2))
+    two_cycles = ClassGraph(3, placement, "phi1", tuple(range(6)),
+                            ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)))
+    two_k4 = ClassGraph(4, placement, "phi1", tuple(range(8)),
+                        tuple(k4 + [(u + 4, v + 4) for u, v in k4]))
+    assert not is_connected(two_cycles) and not is_connected(two_k4)
+    # a vertex listed twice is one vertex, and a repeated edge one edge
+    square = ClassGraph(3, placement, "phi1", (0, 0, 1, 6, 7),
+                        ((0, 1), (0, 6), (1, 7), (6, 7)))
+    assert is_connected(square)
+    assert is_connected(ClassGraph(3, placement, "phi1", (0, 3, 5, 6),
+                                   ((0, 3), (0, 3), (5, 6), (5, 6)))) is False
+    assert is_connected(ClassGraph(2, placement, "phi1", (), ()))
 
 
 def test_hypercube_match_counts_a_repeated_edge_once():
