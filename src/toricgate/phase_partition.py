@@ -90,7 +90,7 @@ class ClassGraph:
         ends = ends[np.lexsort(ends.T[::-1])]
         ends = ends[np.diff(ends, axis=0, prepend=ends[:1] - 1).any(axis=1)]
         verts.flags.writeable = ends.flags.writeable = False
-        self.__dict__.update(_verts=verts, _ends=ends)  # past the frozen setattr, as `_adopt`
+        self.__dict__.update(_verts=verts, _ends=ends)  # frozen: set as `_adopt` sets fields
 
     def diagonal_mask(self) -> int:
         n = self.n_qubits
