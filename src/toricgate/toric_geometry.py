@@ -4,7 +4,10 @@ Everything in this module runs on integers and `fractions.Fraction`; no
 floating point enters any predicate, and dual cones are computed on
 integers alone. One fraction-free integer elimination routine backs the
 cone predicates: each cone reduces [G^T | I] with it once, for both its
-membership test and its dual. One order-keeping dedup validates the vectors
+membership test and its dual. It takes Bareiss steps over the whole matrix,
+on int64 where a Hadamard bound of the input keeps every product in range
+and on Python ints otherwise, and a pivot alone in its column, as in a
+signed orthant, costs no arithmetic. One order-keeping dedup validates the vectors
 of `Cone`, `Polytope` and `LaurentSupport`. Membership and duals are
 implemented for simplicial cones (linearly independent generator sets),
 which covers the signed orthants that make up the fan of an n-fold product
@@ -21,7 +24,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -206,31 +210,41 @@ def _eliminate(rows: Iterable[Sequence[int]], pivot_cols: int) -> tuple[int, lis
 
     Returns the rank and the reduced rows. Row j < rank holds the j-th pivot,
     and every other row is zero in that pivot's column; rows from the rank on
-    are zero in all of the first `pivot_cols` columns. Each updated row is
-    divided by the gcd of its entries, so a row keeps the ratios of the
-    rational reduction while its integers stay small.
+    are zero in all of the first `pivot_cols` columns. Each row is a nonzero
+    multiple of its row in the rational reduction.
+
+    A pivot with other rows to clear takes a Bareiss step (Bareiss 1968) over
+    the whole matrix at once: (lead * m - outer(column, pivot row)) // prev,
+    with the pivot row kept. Every entry is then an integer minor of the input
+    and each division is exact. A pivot alone in its column does no arithmetic
+    and keeps `prev`: by Sylvester's identity the other rows are still minors
+    of the input with that row and column struck out. Rows stay lists until the
+    first step with arithmetic, so sparse input such as the fan's signed
+    orthants costs a rank test. The array is int64 when the Hadamard bound of
+    the rows keeps every product below 2^62, and Python ints otherwise.
     """
     m = [list(r) for r in rows]
-    rank = 0
+    rank, prev = 0, 1
     for col in range(pivot_cols):
-        # touching only the rows that are nonzero in the column keeps sparse
-        # input, such as the fan's signed orthants, as cheap as a rank test
-        hits = [r for r, row in enumerate(m) if row[col]]
+        hits = ([r for r, row in enumerate(m) if row[col]] if isinstance(m, list)
+                else m[:, col].nonzero()[0].tolist())
         i = bisect_left(hits, rank)
         if i == len(hits):
             continue
-        pivot = hits.pop(i)
-        m[rank], m[pivot] = m[pivot], m[rank]
-        top = m[rank]
-        lead = top[col]
-        for r in hits:
-            row = m[r]
-            factor = row[col]
-            new = [lead * a - factor * b for a, b in zip(row, top)]
-            g = gcd(*new)
-            m[r] = [x // g for x in new] if g > 1 else new
+        pivot = hits[i]
+        if pivot != rank:
+            m[rank], m[pivot] = m[pivot].copy(), m[rank].copy()
+        if len(hits) > 1:
+            if isinstance(m, list):
+                # every minor is at most the product of the row norms
+                bound = prod(max(1, sum(map(mul, row, row))) for row in m)
+                m = np.array(m, dtype=np.int64 if bound < 1 << 61 else object)
+            top = m[rank].copy()
+            lead = top[col]
+            m = (lead * m - m[:, col, None] * top) // prev
+            m[rank], prev = top, lead
         rank += 1
-    return rank, m
+    return rank, m if isinstance(m, list) else m.tolist()
 
 
 # ---------------------------------------------------------------------------

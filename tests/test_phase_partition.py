@@ -375,9 +375,18 @@ def test_class_graph_degree_validated():
 
 
 def test_class_graph_foreign_vertex_is_value_error():
-    with pytest.raises(ValueError, match="not in the class"):
-        ClassGraph(2, GatePlacement(1, 2), "phi1",
-                   vertices=(0, 3), edges=((0, 2),))
+    wide = 1 << 61  # labels past numpy's table range for membership tests
+    cases = [((0, 3), ((0, 2),), 2),
+             ((-wide, 5, wide), ((-wide, 5), (5, wide - 1)), wide - 1),
+             ((-wide, wide), ((-wide - 1, wide),), -wide - 1),
+             ((-wide, wide), ((-wide, wide + 1),), wide + 1),
+             ((), ((4, 7),), 4)]
+    for vertices, edges, foreign in cases:
+        with pytest.raises(ValueError, match=f"^edge endpoint {foreign} is not in the class$"):
+            ClassGraph(2, GatePlacement(1, 2), "phi1", vertices=vertices, edges=edges)
+    # the first bad edge decides, and its order is checked before its ends
+    with pytest.raises(ValueError, match=r"^edges must be \(low, high\) pairs$"):
+        ClassGraph(2, GatePlacement(1, 2), "phi1", (-wide, wide), ((wide + 3, wide),))
 
 
 def test_intersection_summary_examples():

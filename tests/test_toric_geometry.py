@@ -221,10 +221,24 @@ def _outcome(fn, *args):
 def _cone_cases(draw):
     """Integer generator sets in dimension d <= 6, square and k < d, with
     dependent, duplicate and zero generators, and a point that is either a
-    combination of the generators or arbitrary (mostly off a lower span)."""
+    combination of the generators or arbitrary (mostly off a lower span).
+
+    Entries reach 4, 2^10, 2^40 or 2^70, so the elimination runs on int64
+    below its Hadamard guard and on Python ints above it, where int64 would
+    overflow (2^40) or cannot hold the input (2^70). Some sets are monomial,
+    each generator on its own axis in a drawn order, as a signed orthant is:
+    their pivots are alone in their columns and come with row swaps. Some
+    of those have dense generators mixed in, so steps with arithmetic follow
+    lone pivots."""
     d = draw(st.integers(1, 6))
-    vec = st.tuples(*[st.integers(-4, 4)] * d)
+    top = draw(st.sampled_from((4, 1 << 10, 1 << 40, 1 << 70)))
+    entry = st.integers(-top, top)
+    vec = st.tuples(*[entry] * d)
     gens = draw(st.lists(vec, max_size=d + 1))
+    if draw(st.booleans()):
+        axes = draw(st.permutations(range(d)))[:draw(st.integers(0, d))]
+        gens = [tuple(draw(entry.filter(bool)) if i == axis else 0 for i in range(d))
+                for axis in axes] + gens[:draw(st.integers(0, d - len(axes)))]
     extra = draw(st.sampled_from(["none", "duplicate", "zero", "dependent"]))
     if extra == "zero":
         gens.append((0,) * d)
