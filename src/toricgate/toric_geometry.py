@@ -4,11 +4,11 @@ Everything in this module runs on integers and `fractions.Fraction`; no
 floating point enters any predicate, and dual cones are computed on
 integers alone. One fraction-free integer elimination routine backs the
 cone predicates: each cone reduces [G^T | I] with it once, for both its
-membership test and its dual. It takes Bareiss steps over the whole matrix,
-on int64 where a Hadamard bound of the input keeps every product in range
-and on Python ints otherwise, and a pivot alone in its column, as in a
-signed orthant, costs no arithmetic. One order-keeping dedup validates the vectors
-of `Cone`, `Polytope` and `LaurentSupport`. Membership and duals are
+membership test and its dual. It takes Bareiss steps over the whole
+matrix, on int64 where a Hadamard bound of the input keeps every product in
+range and on Python ints otherwise; a pivot alone in its column, as in a
+signed orthant, costs no arithmetic. One order-keeping dedup validates the
+vectors of `Cone`, `Polytope` and `LaurentSupport`. Membership and duals are
 implemented for simplicial cones (linearly independent generator sets),
 which covers the signed orthants that make up the fan of an n-fold product
 of projective lines together with their images under lattice automorphisms.
