@@ -233,7 +233,7 @@ def _eliminate(rows: Iterable[Sequence[int]], pivot_cols: int) -> tuple[int, lis
             continue
         pivot = hits[i]
         if pivot != rank:
-            m[rank], m[pivot] = m[pivot].copy(), m[rank].copy()
+            m[rank], m[pivot] = m[pivot].copy(), m[rank].copy()  # array rows are views
         if len(hits) > 1:
             if isinstance(m, list):
                 # every minor is at most the product of the row norms
