@@ -211,7 +211,7 @@ def _float_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     group = np.arange(10 ** 4, dtype=np.int16)
     digits = (group[:, None] // np.array([1000, 100, 10, 1], np.int16) % 10 + 48).astype(np.uint8)
     zeros = sum((group % 10 ** k == 0).astype(np.uint8) for k in range(1, 5))
-    layouts = np.full((2 * _FORMS * 17, 23), 17, np.intp)
+    layouts = np.full((2 * _FORMS * 17, 23), 17, np.int32)
     patterns = itertools.product((0, 1), range(_FORMS), range(1, 18))
     for layout, (sign, form, shown) in zip(layouts, patterns):
         before = form - 3 if form < _FORMS - 1 else 1  # X + 1 digits before the point
@@ -254,10 +254,10 @@ def float_tokens(values: np.ndarray) -> np.ndarray:
     fixed = (exponent >= -4) & (exponent < 17)
     form = np.where(fixed, exponent + 4, _FORMS - 1)
     negative = (bits >> np.uint64(63)).astype(np.intp)
-    layout = np.take(layouts, (negative * _FORMS + form) * 17 + shown - 1, axis=0)
-    layout += np.arange(0, alphabet.size, _ALPHABET)[:, None]
+    layout = layouts[(negative * _FORMS + form) * 17 + shown - 1]
+    layout += np.arange(0, alphabet.size, _ALPHABET, dtype=np.int32)[:, None]
     out = np.empty((len(bits), 28), np.uint8)
-    out[:, :23] = np.take(alphabet, layout)
+    out[:, :23] = alphabet.ravel()[layout]
     out[:, 23:] = exponents[np.where(fixed, 0, exponent + 309)].view(np.uint8).reshape(-1, 5)
     for row in np.flatnonzero(~exact).tolist():
         text = b"%.17g" % floats[row]

@@ -77,18 +77,14 @@ class ClassGraph:
         verts = np.sort(np.array(self.vertices, dtype=np.int64))
         verts = verts[np.diff(verts, prepend=verts[:1] - 1) != 0]  # distinct, no hash table
         ends = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
-        # an end is a vertex when its insertion point holds it; with no vertices, none is
-        at = np.searchsorted(verts, ends)
-        foreign = (np.take(verts, at, mode="clip") != ends if verts.size
-                   else np.ones(ends.shape, dtype=bool))
-        unordered = ends[:, 0] >= ends[:, 1]
+        unordered, foreign = ends[:, 0] >= ends[:, 1], ~np.isin(ends, verts)
         # the first bad edge decides the message: its order, then its ends
         for i in np.flatnonzero(unordered | foreign.any(axis=1))[:1]:
             if unordered[i]:
                 raise ValueError("edges must be (low, high) pairs")
             raise ValueError(f"edge endpoint {ends[i][foreign[i]][0]} is not in the class")
         want = self.n_qubits - 1
-        degree = np.bincount(at.ravel(), minlength=verts.size)
+        degree = np.bincount(np.searchsorted(verts, ends).ravel(), minlength=verts.size)
         if (degree != want).any():
             raise ValueError(f"every vertex must have degree {want}")
         ends = ends[np.lexsort(ends.T[::-1])]

@@ -220,8 +220,9 @@ def _eliminate(rows: Iterable[Sequence[int]], pivot_cols: int) -> tuple[int, lis
     and keeps `prev`: by Sylvester's identity the other rows are still minors
     of the input with that row and column struck out. Rows stay lists until the
     first step with arithmetic, so sparse input such as the fan's signed
-    orthants costs a rank test. The array is int64 when the Hadamard bound of
-    the rows keeps every product below 2^62, and Python ints otherwise.
+    orthants costs a rank test: building the array and its bound would cost an
+    orthant more than its whole scan. The array is int64 when the Hadamard
+    bound of the rows keeps every product below 2^62, and Python ints otherwise.
     """
     m = [list(r) for r in rows]
     rank, prev = 0, 1

@@ -218,24 +218,22 @@ def _outcome(fn, *args):
 
 
 @st.composite
-def _cone_cases(draw):
+def _cone_cases(draw, tops=(4,), monomial=False):
     """Integer generator sets in dimension d <= 6, square and k < d, with
     dependent, duplicate and zero generators, and a point that is either a
     combination of the generators or arbitrary (mostly off a lower span).
 
-    Entries reach 4, 2^10, 2^40 or 2^70, so the elimination runs on int64
-    below its Hadamard guard and on Python ints above it, where int64 would
-    overflow (2^40) or cannot hold the input (2^70). Some sets are monomial,
-    each generator on its own axis in a drawn order, as a signed orthant is:
-    their pivots are alone in their columns and come with row swaps. Some
-    of those have dense generators mixed in, so steps with arithmetic follow
-    lone pivots."""
+    Entries are bounded by one of `tops`. With `monomial`, some sets are
+    monomial, each generator on its own axis in a drawn order, as a signed
+    orthant is: their pivots are alone in their columns and come with row
+    swaps. Some of those have dense generators mixed in, so steps with
+    arithmetic follow lone pivots."""
     d = draw(st.integers(1, 6))
-    top = draw(st.sampled_from((4, 1 << 10, 1 << 40, 1 << 70)))
+    top = draw(st.sampled_from(tops))
     entry = st.integers(-top, top)
     vec = st.tuples(*[entry] * d)
     gens = draw(st.lists(vec, max_size=d + 1))
-    if draw(st.booleans()):
+    if monomial and draw(st.booleans()):
         axes = draw(st.permutations(range(d)))[:draw(st.integers(0, d))]
         gens = [tuple(draw(entry.filter(bool)) if i == axis else 0 for i in range(d))
                 for axis in axes] + gens[:draw(st.integers(0, d - len(axes)))]
@@ -257,10 +255,7 @@ def _cone_cases(draw):
     return d, gens, point
 
 
-@settings(derandomize=True, max_examples=600, deadline=None)
-@given(_cone_cases())
-def test_cone_operations_match_rational_oracle(case):
-    d, gens, point = case
+def _check_against_oracle(d, gens, point):
     cone = Cone(d, gens)
     distinct = tuple(dict.fromkeys(g for g in gens if any(g)))
     assert cone.generators == distinct
@@ -281,6 +276,22 @@ def test_cone_operations_match_rational_oracle(case):
         for reused in (inherited, fresh):
             assert cone_contains(reused, point) == dual_contains
             assert dual_cone(reused).generators == bidual
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(_cone_cases())
+def test_cone_operations_match_rational_oracle(case):
+    # small dense entries: accidental dependence, zero pivots and points on a face
+    _check_against_oracle(*case)
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(_cone_cases(tops=(4, 1 << 10, 1 << 40, 1 << 70), monomial=True))
+def test_cone_operations_match_rational_oracle_across_the_int64_guard(case):
+    # the elimination runs on int64 below its Hadamard guard and on Python
+    # ints above it, where int64 would overflow (2^40) or cannot hold the
+    # input (2^70); monomial sets take lone pivots and row swaps
+    _check_against_oracle(*case)
 
 
 def test_kept_reduction_leaves_equality_hash_and_repr_alone():
