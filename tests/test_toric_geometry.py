@@ -294,6 +294,14 @@ def test_cone_operations_match_rational_oracle_across_the_int64_guard(case):
     _check_against_oracle(*case)
 
 
+def test_a_lone_pivot_keeps_the_bareiss_divisor():
+    # after column 0's step, row 1 is alone in column 1 with lead 6; the step
+    # at column 2 still divides by column 0's lead, 2, and every entry left is
+    # a minor of the input
+    assert toric_geometry._eliminate([[2, 0, 1], [1, 3, 0], [1, 0, 1]], 3) == (
+        3, [[1, 0, 0], [0, 3, 0], [0, 0, 1]])
+
+
 def test_kept_reduction_leaves_equality_hash_and_repr_alone():
     gens = ((1, 2, 0), (0, 1, 3), (2, 0, 1))
     used = Cone(3, gens)
