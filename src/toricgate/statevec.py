@@ -6,9 +6,9 @@ convention of `bits` (qubit 1 is the most significant bit). A diagonal
 amplitude by `a` where the two bits agree and by `b` where they differ,
 which is why the placement is symmetric under swapping control and target.
 
-`apply_cphase` reads the state once, `_BLOCK` amplitudes at a time, summing
-each block's |amp|^2 while it is in cache. Besides its output it allocates
-two one-block factor vectors, at most 1/8 of the state: 512.5 MiB at the cap.
+`apply_cphase` reads the state once, `_BLOCK` amplitudes at a time. Unless the bounds a state
+keeps on its exact |psi|^2 prove the output normalized, it sums each block's |amp|^2 in cache.
+Besides its output it allocates two one-block factor vectors, at most 1/8 of the state.
 From `_SPARE_MIN` amplitudes (32 MiB) up, it writes into the buffer of one of
 its last two outputs that nothing refers to any more, so a chain of gates does
 not fault in fresh zeroed pages. Below that, malloc reuses freed memory itself,
@@ -34,6 +34,7 @@ from .bits import (_PAD, _TEXT_BLOCK, MAX_QUBITS, _bit_strings, _float_values, _
 from .spin_model import DiagonalTwoQubitGate
 
 _NORM_TOL = 1e-9
+_GATE_SLACK = 2.0 ** -49  # a gate's rounding of |amp|^2 and of its bounds' own products
 _HEADER = re.compile(r"n=([0-9]+)$")  # \d would take non-ASCII digits
 _READ_BLOCK = 1 << 18  # characters or bytes per read: bounds each block's byte tables
 _BLOCK = 1 << 14  # amplitudes per block of apply_cphase: 256 KiB, within L2
@@ -64,14 +65,15 @@ class GatePlacement:
 
 
 class StateVector:
-    """Normalized n-qubit amplitude vector, immutable after construction."""
+    """Normalized n-qubit amplitude vector, immutable after construction: the private
+    bounds it keeps on its exact |psi|^2 hold only because its amplitudes are read-only."""
 
-    __slots__ = ("amplitudes", "n_qubits")
+    __slots__ = ("amplitudes", "n_qubits", "_norm_range")
 
-    def __init__(self, amplitudes, *, _owned: bool = False,
-                 _norm_sq: float | None = None) -> None:
-        # _owned: a complex array just built here, adopted uncopied; _norm_sq: its
-        # |psi|^2 as summed while it was built; all checks run
+    def __init__(self, amplitudes, *, _owned: bool = False, _norm_sq: float | None = None,
+                 _norm_range: tuple[float, float] = (0.0, math.inf)) -> None:
+        # _owned: a complex array just built here, adopted uncopied; _norm_sq: its |psi|^2 as
+        # summed, or else a bound within _NORM_TOL / 2 of 1; _norm_range: its proved bounds
         amps = amplitudes if _owned else np.array(amplitudes, dtype=complex)
         if amps.ndim != 1:
             raise ValueError("amplitudes must form a one-dimensional array")
@@ -81,15 +83,20 @@ class StateVector:
             raise ValueError("amplitude count must be a power of two, at least 2")
         if n > MAX_QUBITS:
             raise ValueError(f"dense representation is capped at {MAX_QUBITS} qubits")
-        norm_sq = float(np.vdot(amps, amps).real if _norm_sq is None else _norm_sq)
-        if not abs(norm_sq - 1.0) <= _NORM_TOL:  # fails closed on NaN
-            raise ValueError(f"state is not normalized: |psi|^2 = {norm_sq!r}")
+        if _norm_sq is None:  # a sum of 2m products errs by at most 2m * 2^-53
+            _norm_range = _bounds(_norm_sq := float(np.vdot(amps, amps).real), size + 1)
+        if not abs(_norm_sq - 1.0) <= _NORM_TOL:  # fails closed on NaN
+            raise ValueError(f"state is not normalized: |psi|^2 = {float(_norm_sq)!r}")
         amps.flags.writeable = False
-        self.amplitudes = amps
-        self.n_qubits = n
+        self.amplitudes, self.n_qubits, self._norm_range = amps, n, _norm_range
 
     def __repr__(self) -> str:
         return f"StateVector(n_qubits={self.n_qubits})"
+
+
+def _bounds(norm_sq: float, terms: int) -> tuple[float, float]:
+    """Bounds on a float sum's exact value, given its error is at most (terms - 1) * 2^-52."""
+    return norm_sq * (1 - terms * 2.0 ** -52), norm_sq * (1 + terms * 2.0 ** -52)
 
 
 def uniform_superposition(n_qubits: int) -> StateVector:
@@ -97,7 +104,9 @@ def uniform_superposition(n_qubits: int) -> StateVector:
     if not 1 <= n_qubits <= MAX_QUBITS:
         raise ValueError(f"n_qubits must lie in 1..{MAX_QUBITS}")
     amp = 1.0 / math.sqrt(2 ** n_qubits)
-    return StateVector(np.full(1 << n_qubits, amp, dtype=complex), _owned=True)
+    norm_sq = 2.0 ** n_qubits * amp * amp  # rounded once, by at most 2^-53 of it
+    return StateVector(np.full(1 << n_qubits, amp, dtype=complex), _owned=True,
+                       _norm_sq=norm_sq, _norm_range=_bounds(norm_sq, 2))
 
 
 def _check_placement(placement: GatePlacement, n_qubits: int) -> None:
@@ -112,7 +121,9 @@ def apply_cphase(state: StateVector, gate: DiagonalTwoQubitGate,
 
     Amplitudes whose control and target bits agree are scaled by the gate's
     equal-bits factor, the rest by the unequal-bits factor. Norm is
-    preserved and gates on disjoint placements commute.
+    preserved and gates on disjoint placements commute. The |amp|^2 pass runs only
+    when the output's bounds leave _NORM_TOL / 2 of 1; as that sum errs by under 4e-12,
+    a skipped pass would have accepted too, so each accept, reject and message is the same.
     """
     _check_placement(placement, state.n_qubits)
     amps, n, c, t = state.amplitudes, state.n_qubits, placement.control, placement.target
@@ -120,13 +131,17 @@ def apply_cphase(state: StateVector, gate: DiagonalTwoQubitGate,
     agree = bit_at(np.arange(block), c, n) == bit_at(np.arange(block), t, n)
     eq, ne = gate.equal_bits_factor, gate.unequal_bits_factor
     factors = np.where(agree, eq, ne), np.where(agree, ne, eq)  # bits above a block agree, differ
+    (lo, hi), scales = state._norm_range, (abs(eq) ** 2, abs(ne) ** 2)
+    lo, hi = lo * min(scales) * (1 - _GATE_SLACK), hi * max(scales) * (1 + _GATE_SLACK)
+    summed = not 1 - _NORM_TOL / 2 <= lo <= hi <= 1 + _NORM_TOL / 2  # fails closed on NaN
     out, norm_sq = np.empty_like(amps) if amps.size < _SPARE_MIN else _spare(amps), 0.0
     for start in range(0, amps.size, block):
         part = out[start:start + block]  # amplitudes first: with FMA the order sets the last bit
         np.multiply(amps[start:start + block], factors[bit_at(start, c, n) ^ bit_at(start, t, n)],
                     out=part)
-        norm_sq += np.vdot(part, part).real
-    return StateVector(out, _owned=True, _norm_sq=norm_sq)
+        norm_sq += np.vdot(part, part).real if summed else 0.0
+    lo, hi = _bounds(norm_sq, block + amps.size // block) if summed else (lo, hi)
+    return StateVector(out, _owned=True, _norm_sq=norm_sq if summed else hi, _norm_range=(lo, hi))
 
 
 def _spare(amps: np.ndarray) -> np.ndarray:

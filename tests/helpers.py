@@ -43,6 +43,14 @@ def random_state(rng, n):
     return amps / np.linalg.norm(amps)
 
 
+def exact_norm_sq(amps):
+    """The exact sum of |amp|^2 over complex doubles, as a Fraction: each part
+    is p / 2^k, so the squares are summed as integers over the largest 4^k."""
+    parts = [x.as_integer_ratio() for z in amps.tolist() for x in (z.real, z.imag)]
+    scale = max(q for _, q in parts) ** 2
+    return Fraction(sum(p * p * (scale // (q * q)) for p, q in parts), scale)
+
+
 def reference_state_text(amps):
     """The state file text written one line at a time, index by index."""
     n = len(amps).bit_length() - 1

@@ -1,14 +1,17 @@
+import cmath
 import math
+import re
 import sys
 import threading
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import dense_cphase_matrix, random_state, reference_cphase, xnor_class
+from helpers import (dense_cphase_matrix, exact_norm_sq, random_state, reference_cphase,
+                     xnor_class)
 from toricgate import statevec
 from toricgate.spin_model import DiagonalTwoQubitGate
 from toricgate.statevec import (GatePlacement, StateVector, apply_cphase,
@@ -220,20 +223,79 @@ def test_apply_matches_reference_across_blocks(monkeypatch, block, n):
 
 
 def test_apply_norm_summed_by_blocks_matches_vdot(monkeypatch):
-    adopted = []
+    # a state with |psi|^2 = 1 + 6e-10 is accepted, but its bounds leave
+    # _NORM_TOL / 2 of 1, so a gate on it sums every block; on the same state
+    # normalized the bounds stay within, and the gate runs no sum at all
+    adopted, summed, vdot = [], [], np.vdot
 
     def recording(amps, **kwargs):
         adopted.append(kwargs["_norm_sq"])
         return StateVector(amps, **kwargs)
 
+    def counting(a, b):
+        summed.append(a.size)
+        return vdot(a, b)
+
     monkeypatch.setattr(statevec, "StateVector", recording)
     rng = np.random.default_rng(41)
     gate = DiagonalTwoQubitGate.from_phi1(0.9)
     for n in range(2, 17):
-        s = StateVector(random_state(rng, n))
+        amps = random_state(rng, n)
+        wide, unit = StateVector(amps * math.sqrt(1 + 6e-10)), StateVector(amps)
         for control, target in ((1, 2), (1, n), (n, n - 1)):
-            out = apply_cphase(s, gate, GatePlacement(control, target)).amplitudes
+            monkeypatch.setattr(np, "vdot", counting)
+            out = apply_cphase(wide, gate, GatePlacement(control, target)).amplitudes
+            assert sum(summed) == out.size
+            summed.clear()
+            apply_cphase(unit, gate, GatePlacement(control, target))
+            assert summed == []
+            monkeypatch.setattr(np, "vdot", vdot)
+            adopted.pop()
             assert abs(adopted.pop() - np.vdot(out, out).real) <= 1e-12
+
+
+_moduli = st.floats(1 - 1e-12, 1 + 1e-12)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(st.integers(1, 10), st.integers(0, 2**32 - 1), st.sampled_from([None, 0.0, 6e-10, -6e-10]),
+       st.lists(st.tuples(_moduli, _angles, _moduli, _angles, st.randoms()), max_size=6))
+def test_carried_norm_bounds_hold_the_exact_norm_property(n, seed, drift, chain):
+    # drift None starts from the uniform superposition, a number from a random
+    # state with |psi|^2 = 1 + drift; the gates' moduli span all that a gate accepts
+    if drift is None:
+        state = uniform_superposition(n)
+    else:
+        state = StateVector(random_state(np.random.default_rng(seed), n) * math.sqrt(1 + drift))
+    lo, hi = state._norm_range
+    assert lo <= exact_norm_sq(state.amplitudes) <= hi
+    for r_eq, a_eq, r_ne, a_ne, rnd in chain if n > 1 else ():
+        eq, ne = r_eq * cmath.exp(1j * a_eq), r_ne * cmath.exp(1j * a_ne)
+        try:
+            gate = DiagonalTwoQubitGate((eq, ne, ne, eq))
+        except ValueError:  # a modulus at the edge, rounded past it
+            assume(False)
+        control, target = rnd.sample(range(1, n + 1), 2)
+        want = reference_cphase(state.amplitudes, n, control, target, eq, ne)
+        state = apply_cphase(state, gate, GatePlacement(control, target))
+        assert np.array_equal(state.amplitudes, want)
+        lo, hi = state._norm_range
+        assert lo <= exact_norm_sq(state.amplitudes) <= hi
+
+
+@pytest.mark.parametrize("n, norm_sq", [(3, "1.0000000010001422"), (12, "1.0000000010001153")])
+def test_a_drifting_chain_is_rejected_at_the_same_gate(n, norm_sq):
+    # |a|^2 = 1 + 1.8e-12 and |b|^2 = 1 - 4e-13, so |psi|^2 creeps up gate by gate
+    # while most gates skip the sum; the gate that fails, and its message, are
+    # those of a chain that summed |amp|^2 after every gate
+    a, b = (1 + 9e-13) * cmath.exp(0.3j), (1 - 2e-13) * cmath.exp(-0.3j)
+    gate = DiagonalTwoQubitGate((a, b, b, a))
+    state = uniform_superposition(n)
+    for k in range(1428):
+        state = apply_cphase(state, gate, GatePlacement(1 + k % (n - 1), n))
+    message = f"state is not normalized: |psi|^2 = {norm_sq}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        apply_cphase(state, gate, GatePlacement(1 + 1428 % (n - 1), n))
 
 
 def test_apply_allocates_only_the_output():
