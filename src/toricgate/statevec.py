@@ -122,8 +122,8 @@ def apply_cphase(state: StateVector, gate: DiagonalTwoQubitGate,
     Amplitudes whose control and target bits agree are scaled by the gate's
     equal-bits factor, the rest by the unequal-bits factor. Norm is
     preserved and gates on disjoint placements commute. The |amp|^2 pass runs only
-    when the output's bounds leave _NORM_TOL / 2 of 1; as that sum errs by under 4e-12,
-    a skipped pass would have accepted too, so each accept, reject and message is the same.
+    when the output's bounds leave _NORM_TOL / 2 of 1. As that sum errs by under 4e-12,
+    a skipped pass would have accepted too: every outcome is that of a pass on every gate.
     """
     _check_placement(placement, state.n_qubits)
     amps, n, c, t = state.amplitudes, state.n_qubits, placement.control, placement.target

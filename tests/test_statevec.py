@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 import re
 import sys
 import threading
@@ -250,7 +251,7 @@ def test_apply_norm_summed_by_blocks_matches_vdot(monkeypatch):
             apply_cphase(unit, gate, GatePlacement(control, target))
             assert summed == []
             monkeypatch.setattr(np, "vdot", vdot)
-            adopted.pop()
+            adopted.pop()  # the normalized state's, a bound rather than a sum
             assert abs(adopted.pop() - np.vdot(out, out).real) <= 1e-12
 
 
@@ -283,11 +284,26 @@ def test_carried_norm_bounds_hold_the_exact_norm_property(n, seed, drift, chain)
         assert lo <= exact_norm_sq(state.amplitudes) <= hi
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_carried_norm_bounds_hold_over_a_long_chain(n):
+    # the uniform superposition starts with bounds a few 2^-53 wide, and its
+    # equal amplitudes round alike, so within a few hundred unit gates the
+    # products' rounding alone would leave bounds that only track the moduli
+    rnd = random.Random(n)
+    state = uniform_superposition(n)
+    for _ in range(400):
+        eq, ne = (cmath.exp(1j * rnd.uniform(-math.pi, math.pi)) for _ in range(2))
+        state = apply_cphase(state, DiagonalTwoQubitGate((eq, ne, ne, eq)),
+                             GatePlacement(*rnd.sample(range(1, n + 1), 2)))
+        lo, hi = state._norm_range
+        assert lo <= exact_norm_sq(state.amplitudes) <= hi
+
+
 @pytest.mark.parametrize("n, norm_sq", [(3, "1.0000000010001422"), (12, "1.0000000010001153")])
 def test_a_drifting_chain_is_rejected_at_the_same_gate(n, norm_sq):
-    # |a|^2 = 1 + 1.8e-12 and |b|^2 = 1 - 4e-13, so |psi|^2 creeps up gate by gate
-    # while most gates skip the sum; the gate that fails, and its message, are
-    # those of a chain that summed |amp|^2 after every gate
+    # |a|^2 = 1 + 1.8e-12 and |b|^2 = 1 - 4e-13, so |psi|^2 creeps up gate by gate;
+    # 701 of the 1428 gates that pass skip the sum. The gate that fails, and its
+    # message, are those of a chain that summed |amp|^2 after every gate
     a, b = (1 + 9e-13) * cmath.exp(0.3j), (1 - 2e-13) * cmath.exp(-0.3j)
     gate = DiagonalTwoQubitGate((a, b, b, a))
     state = uniform_superposition(n)
