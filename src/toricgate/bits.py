@@ -3,11 +3,11 @@
 A basis index x encodes the string x1 x2 ... xn with qubit 1 as the most
 significant bit, so |x1 x2 ... xn> sits at index sum_k x_k * 2^(n-k). The
 simulator, the partitions, the renderers and the moment polytope read it only
-through `qubit_mask`, `bit_at`, `pair_view`, `cube_edges` and the bit-string
+through `qubit_mask`, `bit_at`, `pair_view`, `cube_edge_moves` and the bit-string
 codecs (`bitstring`/`label_fields` and `index_of`/`indices_of`). The partitions
-count crossings on an agreement mask written through `pair_view`, with no
-edge list; only the renderers walk `cube_edges`, the DOT text a block of
-rows at a time (`cube_edge_blocks`).
+count crossings and class edges on an agreement mask written through `pair_view`,
+with no edge list; only the renderers walk the cube's edges, each a low end and
+the bit it sets (`cube_edge_moves`, whose rows are `cube_edges`).
 
 Texts are written in blocks of up to `_TEXT_BLOCK` lines, which the CLI
 writes as they come. Every text is formatted by `table_text`: integer tables
@@ -80,12 +80,18 @@ def cube_edges(n: int) -> np.ndarray:
 def cube_edge_blocks(n: int) -> Iterator[np.ndarray]:
     """The rows of `cube_edges(n)` in order, in blocks of up to `_TEXT_BLOCK`,
     built from `_TEXT_BLOCK` low ends at a time and never all at once."""
-    flips = 1 << np.arange(n)
+    for lows, row, bit in cube_edge_moves(n):
+        yield from row_blocks(np.stack((lows[row], lows[row] | 1 << bit), axis=1))
+
+
+def cube_edge_moves(n: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The n-cube's edges in the order of `cube_edges`, `_TEXT_BLOCK` low ends at a
+    time: the low ends, and the (row, bit) pairs of their clear bits (bit 0 the
+    least significant), each the edge from `lows[row]` to `lows[row] | 1 << bit`."""
     for start in range(0, 1 << n, _TEXT_BLOCK):
-        low = np.arange(start, min(start + _TEXT_BLOCK, 1 << n))[:, None]
-        keep = (low & flips) == 0  # row-major: low ascending, then the flipped bit
-        edges = np.stack((np.broadcast_to(low, keep.shape)[keep], (low | flips)[keep]), axis=1)
-        yield from row_blocks(edges)
+        lows = np.arange(start, min(start + _TEXT_BLOCK, 1 << n))
+        clear = np.flatnonzero((lows[:, None] >> np.arange(n) & 1) == 0)
+        yield lows, clear // n, clear % n  # np.nonzero's pairs, at a fraction of its cost
 
 
 def bitstring(index: int, n_qubits: int) -> str:

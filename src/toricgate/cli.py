@@ -10,6 +10,7 @@ with 17 significant digits.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -146,7 +147,7 @@ def _cmd_partition(args: argparse.Namespace) -> int:
     if args.check_hypercube:
         for which in ("phi1", "phi2"):
             # the class graph's check, one move direction at a time, with no
-            # edge table, edge tuples or witness built
+            # edge, edge tuple or witness built: each move's edges are counted
             failure = _hypercube_failure(args.n, placement.target,
                                          *_class_arrays(partition, which))
             verdict = "yes" if failure is None else f"no ({failure})"
@@ -232,8 +233,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_main_parser = functools.cache(build_parser)  # built by the first `main` call, not at import
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _main_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

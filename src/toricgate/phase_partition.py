@@ -7,8 +7,8 @@ free coordinates plus the joint control-target flip, is a copy of the
 ambient cube edges that toggle one of the two distinguished bits.
 
 A partition is its agreement mask, and each class is checked against Q_(n-1)
-one move direction at a time, counting the relabeled edges that flip one bit:
-no class set, edge table or sort is built unless asked for.
+one move direction at a time: the relabeling is linear over GF(2), so a move's
+edges are counted, not built. No class set, edge table or sort is built unless asked for.
 """
 from __future__ import annotations
 
@@ -149,19 +149,20 @@ def partition_vertices(n_qubits: int, placement: GatePlacement) -> PhasePartitio
 
 
 def _class_arrays(partition: PhasePartition, which: str
-                  ) -> tuple[np.ndarray, Iterator[tuple[np.ndarray, int]]]:
-    """One class as arrays: its vertices in ascending order, and its edges one
-    move direction at a time (each free bit, then the diagonal), as their
-    ascending low ends and the move. Every move keeps the placed bits'
-    agreement, so stays in the class, and each edge comes once, from its low end."""
+                  ) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """One class as arrays: its vertices in ascending order, and its moves (each
+    free bit, then the diagonal) with their edge counts. Every move keeps the
+    placed bits' agreement, so stays in the class; each edge is counted at its low
+    end, a member in the low half of a block of indices that the move's top bit splits."""
     if which not in ("phi1", "phi2"):
         raise ValueError("which must be 'phi1' or 'phi2'")
     n, placement = partition.n_qubits, partition.placement
-    agree = partition._agree
-    verts = np.flatnonzero(agree if which == "phi1" else ~agree)
+    members = partition._agree if which == "phi1" else ~partition._agree
     diagonal = qubit_mask(placement.control, n) | qubit_mask(placement.target, n)
     moves = [qubit_mask(q, n) for q in range(1, n + 1) if not qubit_mask(q, n) & diagonal]
-    return verts, ((verts[verts < verts ^ move], move) for move in moves + [diagonal])
+    runs = [(move, np.count_nonzero(members.reshape(-1, 2, 1 << move.bit_length() - 1)[:, 0]))
+            for move in moves + [diagonal]]
+    return np.flatnonzero(members), runs
 
 
 def class_graph(partition: PhasePartition, which: str) -> ClassGraph:
@@ -170,7 +171,8 @@ def class_graph(partition: PhasePartition, which: str) -> ClassGraph:
     (low, high) order; at most `MAX_GRAPH_QUBITS` qubits."""
     n = partition.n_qubits
     _check_graph_qubits(n)
-    verts, edges = _class_arrays(partition, which)
+    verts, runs = _class_arrays(partition, which)
+    edges = ((verts[verts < verts ^ move], move) for move, _ in runs)
     keys = np.sort(np.concatenate([(lows << n) | (lows ^ move) for lows, move in edges]))
     ends = np.stack((keys >> n, keys & ((1 << n) - 1)), axis=1)
     verts.flags.writeable = ends.flags.writeable = False
@@ -198,16 +200,17 @@ def is_hypercube_isomorphic(graph: ClassGraph) -> HypercubeMatch:
     """
     n, target = graph.n_qubits, graph.placement.target
     verts, (lows, highs) = graph._verts, graph._ends.T
-    failure = _hypercube_failure(n, target, verts, [(lows, lows ^ highs)])
+    failure = _hypercube_failure(n, target, verts, [(lows ^ highs, 1)])
     witness = tuple(zip(verts.tolist(), drop_target_bit(verts, n, target).tolist()))
     return HypercubeMatch(failure is None, n - 1, witness, failure)
 
 
 def _hypercube_failure(n: int, target: int, verts: np.ndarray,
-                       edges: Iterable[tuple[np.ndarray, np.ndarray | int]]) -> str | None:
+                       runs: Iterable[tuple[np.ndarray | int, int]]) -> str | None:
     """Why `is_hypercube_isomorphic` fails, or None, on arrays: the distinct
-    vertices in ascending order, and distinct edges in runs of low ends and
-    the bits each edge flips, every end a vertex. No witness is built."""
+    vertices in ascending order, and distinct edges, every end a vertex, in
+    runs of the bits each edge flips (an array, or one move) and how many
+    edges flip each. No witness is built."""
     m = n - 1
     images = drop_target_bit(verts, n, target)
     if (images.size != 1 << m or images.min() < 0 or images.max() >= 1 << m
@@ -215,15 +218,13 @@ def _hypercube_failure(n: int, target: int, verts: np.ndarray,
         return "relabeling is not a bijection onto the (n-1)-bit strings"
     del images
     # the relabeling is one-to-one, so distinct edges have distinct image
-    # pairs, and the ends of each differ in some bit: a pair is a Q_m edge
-    # iff they differ in exactly one
+    # pairs, and it is linear over GF(2): an edge's image ends differ in the
+    # image of the bits it flips, a Q_m edge iff that is one bit
     count = present = 0
-    for lows, moves in edges:
-        flip = drop_target_bit(lows ^ moves, n, target)
-        flip ^= drop_target_bit(lows, n, target)
-        count += flip.size
-        present += int(np.count_nonzero((flip & (flip - 1)) == 0))
-        del lows, flip  # freed before the next run is built
+    for moves, times in runs:
+        flip = drop_target_bit(moves, n, target)
+        count += times * np.size(flip)
+        present += times * int(np.count_nonzero((flip & (flip - 1)) == 0))
     extra, missing = count - present, (m << (m - 1)) - present
     if extra or missing:
         return f"edge sets differ after relabeling: {extra} extra, {missing} missing"

@@ -4,15 +4,16 @@ Output is byte-reproducible: vertices are walked in ascending index order,
 edges in sorted order, and every coordinate is printed with a fixed format.
 The SVG canvas is an 800x800 viewBox with a 40 px margin; the ambient cube
 skeleton is drawn in neutral gray, 1.5 wide, with the two class structures on
-top, 3 wide, diagonal (control-target) moves dashed.
+top, 3 wide, diagonal (control-target) moves dashed. A DOT edge line is its low
+end's line `  "<low>" -- "<low>"` with the bytes of its move's bits flipped.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 
 import numpy as np
 
-from .bits import (bitstring, cube_edge_blocks, cube_edges, label_fields, qubit_mask,
+from .bits import (_laid_out, bitstring, cube_edge_moves, cube_edges, label_fields, qubit_mask,
                    row_blocks, table_text, vocabulary)
 from .phase_partition import PhasePartition, class_graph
 
@@ -24,7 +25,7 @@ PHI2_COLOR = "#d62728"
 AMBIENT_COLOR = "#999999"
 
 PROJECTIONS = {"square": 2, "cube-isometric": 3, "tesseract-nested": 4}
-MAX_DOT_QUBITS = 20  # bounds the file, 610 MiB at n = 20; the run peaks at about 50 MiB
+MAX_DOT_QUBITS = 20  # bounds the file, 610 MiB at n = 20; the run peaks at about 40 MiB
 
 _ISO_AXES = ((1.0, 0.0), (0.5, -0.5), (0.0, -1.0))
 _ISO_CENTER = (0.75, -0.75)
@@ -140,12 +141,13 @@ def _check_dot_qubits(n: int) -> None:
         raise ValueError(f"--n {n}: DOT output is capped at {MAX_DOT_QUBITS} qubits")
 
 
-def _edge_lines(blocks: Iterable[np.ndarray], n: int, tail: str) -> Iterator[str]:
-    """A `  "<low>" -- "<high>"<tail>` line per (low, high) row of each block
-    of up to `_TEXT_BLOCK` rows, a text block per block."""
-    for block in blocks:
-        yield table_text(['  "', *label_fields(block[:, 0], n), '" -- "',
-                          *label_fields(block[:, 1], n), '"' + tail])
+def _edge_templates(lows: np.ndarray, n: int, tail: str) -> np.ndarray:
+    """A `  "<low>" -- "<low>"<tail>` line per low end, one opaque item each
+    (a gather copies whole lines): its edge's line once the bytes of the high
+    end are flipped, the character of qubit q at byte n + 8 + q."""
+    fields = label_fields(lows, n)
+    lines = _laid_out(['  "', *fields, '" -- "', *fields, '"' + tail], lows.size)
+    return lines.view(f"V{lines.size // lows.size}")
 
 
 def _dot_blocks(partition: PhasePartition) -> Iterator[str]:
@@ -159,13 +161,22 @@ def _dot_blocks(partition: PhasePartition) -> Iterator[str]:
     for vertices in row_blocks(np.arange(1 << n)):
         yield table_text(['  "', *label_fields(vertices, n), '" [fillcolor="',
                           (colors, agree[vertices]), '"];\n'])
-    yield from _edge_lines(cube_edge_blocks(n), n, ";\n")
-    diagonal = qubit_mask(placement.control, n) | qubit_mask(placement.target, n)
+    del vertices  # a view of all 2^n indices, not kept while the edges are written
+    for lows, row, bit in cube_edge_moves(n):  # an edge sets one bit of its low end
+        templates = _edge_templates(lows, n, ";\n")  # lines 2n + 12 bytes wide
+        for rows, bits in zip(row_blocks(row), row_blocks(bit)):
+            lines = templates.take(rows).view(np.uint8)
+            lines[np.arange(2 * n + 8, lines.size, 2 * n + 12) - bits] = ord("1")
+            yield str(lines, "ascii")
+    top = qubit_mask(min(placement.control, placement.target), n)
+    columns = [n + 8 + placement.control, n + 8 + placement.target]  # of a high end's placed bits
     for members, color in ((agree, PHI1_COLOR), (~agree, PHI2_COLOR)):
-        lows = np.flatnonzero(members)
-        lows = lows[lows < lows ^ diagonal]
-        yield from _edge_lines(row_blocks(np.column_stack((lows, lows ^ diagonal))), n,
-                               f' [style=dashed, color="{color}"];\n')
+        tail = f' [style=dashed, color="{color}"];\n'
+        # a diagonal's low end is a member whose higher placed bit is clear
+        for block in row_blocks(np.flatnonzero(members.reshape(-1, 2, top) & [[True], [False]])):
+            lines = _edge_templates(block, n, tail).view(np.uint8)
+            lines.reshape(block.size, -1)[:, columns] ^= 1  # '0' <-> '1'
+            yield str(lines, "ascii")
     yield '}\n'
 
 

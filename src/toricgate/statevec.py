@@ -66,7 +66,8 @@ class GatePlacement:
 
 class StateVector:
     """Normalized n-qubit amplitude vector, immutable after construction: the private
-    bounds it keeps on its exact |psi|^2 hold only because its amplitudes are read-only."""
+    bounds it keeps on its exact |psi|^2 hold because its amplitudes are a read-only view
+    of a read-only array, which numpy refuses to make writeable."""
 
     __slots__ = ("amplitudes", "n_qubits", "_norm_range")
 
@@ -87,8 +88,8 @@ class StateVector:
             _norm_range = _bounds(_norm_sq := float(np.vdot(amps, amps).real), size + 1)
         if not abs(_norm_sq - 1.0) <= _NORM_TOL:  # fails closed on NaN
             raise ValueError(f"state is not normalized: |psi|^2 = {float(_norm_sq)!r}")
-        amps.flags.writeable = False
-        self.amplitudes, self.n_qubits, self._norm_range = amps, n, _norm_range
+        amps.flags.writeable = False  # kept as a view: numpy lets no view of it be made writeable
+        self.amplitudes, self.n_qubits, self._norm_range = amps.view(), n, _norm_range
 
     def __repr__(self) -> str:
         return f"StateVector(n_qubits={self.n_qubits})"

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import cube_match_oracle, reference_fan_stdout
+from toricgate import cli
 from toricgate.cli import main
 from toricgate.phase_partition import (class_graph, is_hypercube_isomorphic, partition_to_text,
                                        partition_vertices)
@@ -447,6 +448,30 @@ def test_no_subcommand_is_usage_error():
 
 def test_help_exits_zero():
     assert invoke(["--help"])[0] == 0
+
+
+def test_one_process_answers_as_separate_runs(tmp_path, monkeypatch):
+    # main builds its parser on its first call and keeps it: after a usage error,
+    # --help or a domain error, each call still answers as a fresh process would
+    monkeypatch.setenv("COLUMNS", "80")  # --help wraps its text to the same width
+    argvs = [["gate", "--omega-i", "1"], ["--help"], ["partition", "--help"],
+             ["partition", "--n", "25", "--control", "1", "--target", "2"],
+             ["gate", *GATE_ARGS, "--json"],
+             ["partition", "--n", "4", "--control", "3", "--target", "1", "--check-hypercube"],
+             ["render", "--format", "dot", "--n", "3", "--control", "1", "--target", "2",
+              "--out", str(tmp_path / "x.dot")],
+             ["concurrence", "--phi1", "0.3", "--input", "x"]]
+
+    def run(argv):
+        proc = subprocess.run([sys.executable, "-m", "toricgate", *argv],
+                              capture_output=True, text=True, timeout=120)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    with ThreadPoolExecutor(2) as pool:  # two processes at a time
+        separate = list(pool.map(run, argvs))
+    assert {code for code, _, _ in separate} == {0, 1, 2}
+    assert [invoke(argv) for argv in argvs * 2] == separate * 2
+    assert cli._main_parser.cache_info().misses == 1
 
 
 def test_module_entry_point():

@@ -14,7 +14,8 @@ from helpers import (bfs_connected, cube_match_oracle, hypercube_edges, referenc
                      xnor_class)
 from toricgate.bits import bitstring
 from toricgate.phase_partition import (MAX_GRAPH_QUBITS, ClassGraph, PhasePartition,
-                                       class_graph, drop_target_bit, intersection_summary,
+                                       _class_arrays, _hypercube_failure, class_graph,
+                                       drop_target_bit, intersection_summary,
                                        is_connected, is_hypercube_isomorphic,
                                        partition_to_text, partition_vertices)
 from toricgate.spin_model import DiagonalTwoQubitGate
@@ -525,6 +526,37 @@ def test_hypercube_match_agrees_with_the_oracle_on_tampered_classes(
     match = is_hypercube_isomorphic(graph)
     assert match.dimension == n - 1
     assert (match.is_isomorphic, match.failure) == cube_match_oracle(n, target, vertices, edges)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_small_placements, st.sampled_from(("phi1", "phi2")), st.data())
+def test_hypercube_check_on_move_counts_agrees_with_the_oracle(case, which, data):
+    # the check as `partition --check-hypercube` runs it: one move per run, with its
+    # number of edges. Every real class passes, so the failing inputs are made here:
+    # moves dropped, moves added (the target or control bit alone, or any bits), and
+    # vertices swapped for their twins across the target or control bit
+    n, (control, target) = case
+    t_bit, c_bit = 1 << (n - target), 1 << (n - control)
+    verts, runs = _class_arrays(partition_vertices(n, GatePlacement(control, target)), which)
+
+    def edges(vertices, move):
+        kept = set(vertices)
+        return [(v, v ^ move) for v in vertices if v < v ^ move and v ^ move in kept]
+
+    own = [move for move, _ in runs]
+    assert runs == [(move, len(edges(verts.tolist(), move))) for move in own]
+    dropped = data.draw(st.sets(st.sampled_from(own), max_size=2))
+    added = data.draw(st.sets(st.one_of(st.sampled_from((t_bit, c_bit)),
+                                        st.integers(1, (1 << n) - 1)), max_size=2))
+    swapped = data.draw(st.sets(st.sampled_from(verts.tolist()), max_size=2))
+    twin = data.draw(st.sampled_from((t_bit, c_bit)))
+    vertices = sorted({v ^ twin if v in swapped else v for v in verts.tolist()})
+    by_move = {move: edges(vertices, move) for move in (set(own) - dropped) | added}
+    failure = _hypercube_failure(n, target, np.array(vertices),
+                                 [(move, len(found)) for move, found in by_move.items()])
+    oracle = cube_match_oracle(n, target, vertices,
+                               [e for found in by_move.values() for e in found])
+    assert (failure is None, failure) == oracle
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)

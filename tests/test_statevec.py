@@ -46,6 +46,25 @@ def test_state_vector_validation():
     assert not s.amplitudes.flags.writeable
 
 
+@pytest.mark.parametrize("make", [
+    lambda: uniform_superposition(3), lambda: StateVector([0.6, 0.0, 0.0, 0.8j]),
+    lambda: state_from_text(state_to_text(uniform_superposition(2))),
+    lambda: apply_cphase(uniform_superposition(3), DiagonalTwoQubitGate.from_phi1(0.3),
+                         GatePlacement(1, 2))],
+    ids=["uniform", "constructor", "text", "gate-on-a-spare"])
+def test_amplitudes_cannot_be_made_writeable_again(spares, make):
+    # the carried |psi|^2 bounds hold only while the amplitudes keep their values:
+    # written over with 5s, uniform_superposition(3) would go through apply_cphase
+    # with |psi|^2 = 200 and no check to stop it
+    s = make()
+    with pytest.raises(ValueError):
+        s.amplitudes.flags.writeable = True
+    with pytest.raises(ValueError):
+        s.amplitudes[:] = 5
+    out = apply_cphase(s, DiagonalTwoQubitGate.from_phi1(0.3), GatePlacement(1, 2))
+    assert exact_norm_sq(out.amplitudes) == pytest.approx(1.0, abs=1e-12)
+
+
 @pytest.mark.parametrize("amps", [[math.nan, 0.0], [math.inf, 0.0],
                                   [complex(0.0, math.nan), 1.0]])
 def test_state_vector_rejects_non_finite(amps):
