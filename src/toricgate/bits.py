@@ -17,10 +17,11 @@ The floats of the state text are a vocabulary too: `float_tokens` writes
 each double as `'%.17g' % x` does, byte for byte, and `_float_values` reads
 a token back as `float()` does, bit for bit. Both scale exactly through one
 table of double-double powers of ten, each row filled from `Fraction` the
-first time it is read (`_powers_of_ten`). What that scale cannot round for
-certain (a near-tie) is left to `'%.17g'` or `float()` itself, as are
-subnormals, inf and nan on the way out and tokens outside the word kernel's
-grammar on the way in.
+first time it is read (`_powers_of_ten`); the writer reads it through a
+table of the binades of the doubles, filled the same way (`_decades`). What
+that scale cannot round for certain (a near-tie) is left to `'%.17g'` or
+`float()` itself, as are subnormals, inf and nan on the way out and tokens
+outside the word kernel's grammar on the way in.
 
 Texts are read the other way in blocks of whole lines (`_line_blocks`), each
 laid out as one uint8 array whose whitespace is a space or a line break
@@ -187,6 +188,27 @@ def _powers_of_ten(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _TEN_HI[row], _TEN_LO[row], _TEN_EXP[row]
 
 
+# Per binade 2^e of the normal doubles, in row e + 1023: k, the bits of the least
+# double >= 10^(k+1), and in columns 2 * (e + 1023) + X - k, C for X = k, k + 1
+# (see `float_tokens`), filled from `_powers_of_ten` when first read, bits last.
+_DECADE, _DECADE_END = np.zeros(2047, np.int64), np.zeros(2047, np.uint64)
+_SCALES = np.zeros((2, 2 * 2047))
+
+
+def _decades(magnitude: np.ndarray, biased: np.ndarray) -> tuple[np.ndarray, ...]:
+    """X and C = hi + lo (see `float_tokens`) of each normal |x|, given as its bits and binade."""
+    end = _DECADE_END[biased]
+    if not end.all():
+        rows = np.unique(biased[end == 0])
+        _DECADE[rows] = k = ((rows - 1023) * 78913) >> 18  # floor(e * log10(2)) (Adams's Ryu)
+        hi, lo, exp = _powers_of_ten(np.stack([16 - k, 15 - k, k + 1]))
+        scale = ((exp[:2] + rows - 52) << 52).view(np.float64)  # 2^(exp + e - 52), normal
+        _SCALES[:, 2 * rows + [[0], [1]]] = hi[:2] * scale, lo[:2] * scale
+        _DECADE_END[rows] = hi[2].view(np.int64) + (exp[2] << 52) + (lo[2] > 0)
+        end = _DECADE_END[biased]
+    return _DECADE[biased] + (up := magnitude >= end), *np.take(_SCALES, 2 * biased + up, axis=1)
+
+
 def _split(value: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Veltkamp's split of doubles into high and low halves of 26 bits each."""
     big = _SPLIT * value
@@ -201,34 +223,36 @@ def _product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return product, ((a1 * b1 - product) + a1 * b2 + a2 * b1) + a2 * b2
 
 
-# A `%g` token is laid out from its row's alphabet: its 17 digits, then NUL,
-# ".", "0" and "-". Its layout, 23 alphabet positions, depends only on its
-# sign, its form and how many digits it shows; the exponent is looked up apart.
-_ALPHABET = 21
+# A `%g` token is laid out from its row's alphabet, 7 uint32 words: "-0." and
+# its 17 digits, then its exponent suffix, NUL-padded to 8 bytes. Its layout, 28
+# alphabet bytes, depends only on its sign, its form and how many digits it shows.
 _FORMS = 22  # fixed notation for X = -4..16 (form X + 4), then exponent form
 
 
 @functools.cache
 def _float_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The tables of `float_tokens`: the four-digit groups 0000..9999 as uint32
-    words of ASCII digits, and their counts of trailing zeros (4 for 0000);
-    the layouts, in row (sign * _FORMS + form) * 17 + shown - 1; and the
-    exponent suffixes as 5-byte items, in row X + 309 (0: none)."""
+    """The tables of `float_tokens`: the alphabet words (ASCII groups 0000..9999,
+    "-0." and each digit, the suffixes' first words, their second words), the
+    groups' counts of trailing zeros (4 for 0000), the layouts, in row (sign *
+    _FORMS + form) * 17 + shown - 1, and form * 17 + 16 in row X + 308."""
     group = np.arange(10 ** 4, dtype=np.int16)
     digits = (group[:, None] // np.array([1000, 100, 10, 1], np.int16) % 10 + 48).astype(np.uint8)
     zeros = sum((group % 10 ** k == 0).astype(np.uint8) for k in range(1, 5))
-    layouts = np.full((2 * _FORMS * 17, 23), 17, np.int32)
+    suffixes = vocabulary(f"e{x:+03d}".ljust(8, "\0") for x in range(-308, 309))
+    words = np.concatenate([digits, vocabulary(f"-0.{digit}" for digit in range(10)),
+                            *np.hsplit(suffixes, 2)])
+    layouts = np.full((2 * _FORMS * 17, 28), 27, np.int32)  # byte 27 is always NUL
     patterns = itertools.product((0, 1), range(_FORMS), range(1, 18))
     for layout, (sign, form, shown) in zip(layouts, patterns):
         before = form - 3 if form < _FORMS - 1 else 1  # X + 1 digits before the point
         if before <= 0:  # below 1: "0.", -X - 1 zeros, the digits
-            slots = [19, 18, *[19] * -before, *range(shown)]
+            slots = [1, 2, *[1] * -before, *range(3, 3 + shown)]
         else:  # trailing zeros are dropped after the point only
-            slots = [*range(before), *[18][:shown > before], *range(before, shown)]
-        slots = [20] * sign + slots
+            slots = [*range(3, 3 + before), *[2][:shown > before], *range(3 + before, 3 + shown)]
+        slots = [0] * sign + slots + [*range(20, 25)] * (form == _FORMS - 1)
         layout[:len(slots)] = slots
-    exponents = vocabulary(["", *(f"e{x:+03d}" for x in range(-308, 309))])
-    return digits.view(np.uint32)[:, 0], zeros, layouts, exponents.view("V5")[:, 0]
+    forms = [x + 4 if -4 <= x < 17 else _FORMS - 1 for x in range(-308, 309)]
+    return words.view(np.uint32)[:, 0], zeros, layouts, np.array(forms) * 17 + 16
 
 
 def float_tokens(values: np.ndarray) -> np.ndarray:
@@ -241,7 +265,8 @@ def float_tokens(values: np.ndarray) -> np.ndarray:
     where |x| reaches 10^(k+1) = (hi + lo) * 2^exp, at hi * 2^exp or, where
     lo > 0, the double above. Its 17 digits are D = m * C rounded half to even,
     C = 2^(e-52) * 10^(16-X), the hi + lo of 10^(16-X) times 2^(exp + e - 52)
-    with |lo| <= ulp(hi)/2. Dekker's exact product gives m * hi = p + err; p
+    with |lo| <= ulp(hi)/2; k, that double and C are read from a table of the
+    binades (`_decades`). Dekker's exact product gives m * hi = p + err; p
     is an integer since p >= 10^16 > 2^53, and err + m * lo is then within
     about 2^-47 of m * C - p. So unless the computed fraction lies within
     `_TIE` of 1/2, it sits on the same side of 1/2 as the true one, and
@@ -255,16 +280,13 @@ def float_tokens(values: np.ndarray) -> np.ndarray:
     floats = np.ascontiguousarray(values, dtype=np.float64)
     bits = floats.view(np.uint64)
     digits, exponent, exact = _decimal_digits(bits & np.uint64(2 ** 63 - 1))
-    quads, zeros, layouts, exponents = _float_tables()
-    alphabet, shown = _alphabet(digits, quads, zeros)
-    fixed = (exponent >= -4) & (exponent < 17)
-    form = np.where(fixed, exponent + 4, _FORMS - 1)
-    negative = (bits >> np.uint64(63)).astype(np.intp)
-    layout = layouts[(negative * _FORMS + form) * 17 + shown - 1]
-    layout += np.arange(0, alphabet.size, _ALPHABET, dtype=np.int32)[:, None]
-    out = np.empty((len(bits), 28), np.uint8)
-    out[:, :23] = alphabet.ravel()[layout]
-    out[:, 23:] = exponents[np.where(fixed, 0, exponent + 309)].view(np.uint8).reshape(-1, 5)
+    words, zeros, layouts, forms = _float_tables()
+    alphabet, trailing = _alphabet(digits, exponent, words, zeros)
+    row = np.take(forms, exponent + 308) - trailing
+    row += (bits >> np.uint64(63)).astype(np.intp) * (_FORMS * 17)
+    layout = np.take(layouts, row, axis=0)
+    layout += np.arange(0, alphabet.size, 28, dtype=np.int32)[:, None]
+    out = np.take(alphabet, layout)
     for row in np.flatnonzero(~exact).tolist():
         text = b"%.17g" % floats[row]
         out[row] = 0
@@ -278,13 +300,7 @@ def _decimal_digits(magnitude: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     biased = (magnitude >> np.uint64(52)).astype(np.intp)
     normal = (biased > 0) & (biased < 2047)
     biased[~normal] = 1  # any binade: these rows are written by '%.17g'
-    decade = ((biased - 1023) * 78913) >> 18  # k, from e = biased - 1023
-    hi, lo, exp = _powers_of_ten(decade + 1)
-    next_decade = (hi.view(np.int64) + (exp << 52) + (lo > 0)).view(np.uint64)
-    exponent = decade + (magnitude >= next_decade)
-    hi, lo, exp = _powers_of_ten(16 - exponent)
-    scale = ((exp + biased - 52) << 52).view(np.float64)  # 2^(exp + e - 52), normal
-    hi, lo = hi * scale, lo * scale
+    exponent, hi, lo = _decades(magnitude, biased)
     mantissa = ((magnitude & np.uint64(2 ** 52 - 1)) | np.uint64(2 ** 52)).astype(float)
     product, rest = _product(mantissa, hi)
     rest += mantissa * lo
@@ -299,21 +315,21 @@ def _decimal_digits(magnitude: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     return digits, exponent, (normal & (np.abs(fraction - 0.5) > _TIE)) | zero
 
 
-def _alphabet(digits: np.ndarray, quads: np.ndarray,
+def _alphabet(digits: np.ndarray, exponent: np.ndarray, words: np.ndarray,
               zeros: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The alphabet of each row of 17 digits, and how many of them precede its
-    trailing zeros."""
-    first, tail = np.divmod(digits, 10 ** 16)
-    groups = np.stack(np.divmod(np.stack(np.divmod(tail, 10 ** 8), axis=1), 10 ** 4), axis=2)
-    groups = groups.reshape(-1, 4)
-    trailing = zeros[groups[:, 3]]
-    for column in (2, 1, 0):
-        trailing += (trailing == 4 * (3 - column)) * zeros[groups[:, column]]
-    alphabet = np.empty((len(digits), _ALPHABET), np.uint8)
-    alphabet[:, 0] = first + ord("0")
-    alphabet[:, 1:17] = quads[groups].view(np.uint8)
-    alphabet[:, 17:] = np.frombuffer(b"\0.0-", np.uint8)
-    return alphabet, 17 - trailing
+    """The alphabets of rows of 17 digits at exponent X, 28 bytes a row in one
+    flat array, and how many trailing zeros each row's last 16 digits end in."""
+    word = np.empty((len(digits), 7), np.intp)  # each alphabet word's row in `words`
+    for column, unit in enumerate((10 ** 16, 10 ** 12, 10 ** 8, 10 ** 4)):
+        np.floor_divide(digits, unit, out=word[:, column])
+        digits = digits - word[:, column] * unit
+    word[:, 4] = digits
+    trailing = zeros[digits]
+    for column in (3, 2, 1):
+        trailing += (trailing == 4 * (4 - column)) * zeros[word[:, column]]
+    word[:, 0] += 10 ** 4
+    np.add(exponent[:, None], [10 ** 4 + 10 + 308, 10 ** 4 + 10 + 308 + 617], out=word[:, 5:])
+    return np.take(words, word).view(np.uint8).ravel(), trailing
 
 
 # Reading a text: blocks of whole lines, laid out as byte tables.
@@ -423,8 +439,7 @@ def _lanes(byte: int) -> np.uint64:
     return np.uint64(0x0101010101010101 * byte)
 
 
-# a 24-byte window with its first s bytes off, as the three words at byte 24 * s
-_SKIPS = (~_LOW_BYTES[np.clip(np.arange(25)[:, None] - [0, 8, 16], 0, 8)]).view(np.uint8).ravel()
+_SKIPS = ~_LOW_BYTES[np.clip(np.arange(25)[:, None] - [0, 8, 16], 0, 8)]  # row s: 24 bytes, s off
 _POWERS = np.array([10 ** k for k in range(19)], np.uint64)
 _EIGHT_DIGITS = (np.uint64(0x000000FF000000FF), np.uint64(100 + (1000000 << 32)),
                  np.uint64(1 + (10000 << 32)))  # Lemire's constants: pairs, then fours, then 8
@@ -490,7 +505,7 @@ def _decimal_parts(buffer: np.ndarray, starts: np.ndarray,
     fraction = (end - starts - 2) * dotted  # f
     skip = 24 - (end - starts) + 2 * dotted  # bytes of the window before F
     window ^= _lanes(ord("0"))  # a digit's byte is now its value
-    window &= _words_at(_SKIPS, 24 * np.clip(skip, 0, 24), 3)
+    window &= np.take(_SKIPS, skip, axis=0, mode="clip")
     scratch = window + _lanes(0x76)
     scratch |= window
     scratch &= _lanes(0x80)  # the high bit of each byte that was not a digit
@@ -513,7 +528,7 @@ def _decimal_parts(buffer: np.ndarray, starts: np.ndarray,
     digits = window[:, 0] * np.uint64(10 ** 16)
     digits += window[:, 1] * np.uint64(10 ** 8)
     digits += window[:, 2]
-    digits += whole * dotted * _POWERS[np.minimum(fraction, 18)]
+    digits += whole * dotted * np.take(_POWERS, fraction, mode="clip")
     digits *= exact
     return digits, q, exact
 

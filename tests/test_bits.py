@@ -165,19 +165,37 @@ def test_float_tokens_of_planted_values():
 
 
 def test_powers_of_ten_are_filled_on_first_use_only():
-    # no row at import; formatting 1.0 reads the rows of 10^1 and 10^16, and
-    # reading it back the row of 10^0
+    # no row at import; formatting 1.0 reads the row of its binade, which is
+    # filled from the rows of 10^1, 10^16 and 10^15, and reading it back reads
+    # the row of 10^0
     code = "\n".join([
         "import numpy as np, toricgate",
         "from toricgate import bits",
-        "filled = [int(np.count_nonzero(bits._TEN_HI))]",
+        "def filled():",
+        "    powers, binades = np.count_nonzero(bits._TEN_HI), np.flatnonzero(bits._DECADE_END)",
+        "    return [int(powers), binades.tolist()]",
+        "before = filled()",
         "bits.float_tokens(np.array([1.0]))",
-        "filled.append(int(np.count_nonzero(bits._TEN_HI)))",
+        "written = filled()",
         "bits._float_values(np.frombuffer(b' ' * 24 + b'1  ', np.uint8), *np.array([[24], [25]]))",
-        "print(filled + [int(np.count_nonzero(bits._TEN_HI))])"])
+        "print([before, written, filled()])"])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[0, 2, 3]\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "[[0, []], [3, [1023]], [4, [1023]]]\n", "")
+
+
+def test_decades_match_an_exact_oracle():
+    # every normal binade 2^e: its decade k, 10^k <= 2^e < 10^(k+1), from the
+    # digit count of 2^e or of 5^-e, and the least double >= 10^(k+1)
+    bits._decades(np.zeros(2046, np.uint64), np.arange(1, 2047))  # fills every row
+    rows = zip(range(-1022, 1024), bits._DECADE[1:].tolist(), bits._DECADE_END[1:].tolist())
+    for e, k, above in rows:
+        want = len(str(2 ** e)) - 1 if e >= 0 else len(str(5 ** -e)) - 1 + e
+        ten = Fraction(10) ** (want + 1)
+        least = float(ten)  # the double nearest 10^(k+1)
+        least = least if Fraction(least) >= ten else _above(least)
+        assert (k, above) == (want, int(np.float64(least).view(np.uint64))), e
 
 
 def _below_power_of_ten(x, k):
