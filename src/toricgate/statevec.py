@@ -1,10 +1,12 @@
 """Dense multi-qubit state vectors and the diagonal controlled-phase action.
 
-States are plain numpy amplitude arrays of length 2^n with the bit
-convention of `bits` (qubit 1 is the most significant bit). A diagonal
-(a, b, b, a) gate placed on any control/target pair multiplies each
-amplitude by `a` where the two bits agree and by `b` where they differ,
-which is why the placement is symmetric under swapping control and target.
+States are read-only numpy amplitude arrays of length 2^n with the bit
+convention of `bits` (qubit 1 is the most significant bit). The uniform
+superposition is one amplitude broadcast with stride 0, so a gate on it reads
+one cached value and writes only its output. A diagonal (a, b, b, a) gate
+placed on any control/target pair multiplies each amplitude by `a` where the
+two bits agree and by `b` where they differ, which is why the placement is
+symmetric under swapping control and target.
 
 `apply_cphase` reads the state once, `_BLOCK` amplitudes at a time. Unless the bounds a state
 keeps on its exact |psi|^2 prove the output normalized, it sums each block's |amp|^2 in cache.
@@ -101,12 +103,15 @@ def _bounds(norm_sq: float, terms: int) -> tuple[float, float]:
 
 
 def uniform_superposition(n_qubits: int) -> StateVector:
-    """Hadamard-on-every-qubit state: all 2^n amplitudes equal to 2^(-n/2)."""
+    """Hadamard-on-every-qubit state: all 2^n amplitudes equal to 2^(-n/2), held as one
+    read-only amplitude broadcast with stride 0: O(1) memory, and not C-contiguous."""
     if not 1 <= n_qubits <= MAX_QUBITS:
         raise ValueError(f"n_qubits must lie in 1..{MAX_QUBITS}")
     amp = 1.0 / math.sqrt(2 ** n_qubits)
     norm_sq = 2.0 ** n_qubits * amp * amp  # rounded once, by at most 2^-53 of it
-    return StateVector(np.full(1 << n_qubits, amp, dtype=complex), _owned=True,
+    base = np.array([amp], dtype=complex)
+    base.flags.writeable = False  # numpy lets a view be made writeable if its base is
+    return StateVector(np.broadcast_to(base, 1 << n_qubits), _owned=True,
                        _norm_sq=norm_sq, _norm_range=_bounds(norm_sq, 2))
 
 

@@ -22,10 +22,20 @@ from toricgate.statevec import (GatePlacement, StateVector, apply_cphase,
 
 
 def test_uniform_superposition_values():
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 10):
         s = uniform_superposition(n)
         assert s.n_qubits == n
-        assert np.allclose(s.amplitudes, 1.0 / math.sqrt(2 ** n))
+        want = np.full(2 ** n, 1.0 / math.sqrt(2 ** n), complex)
+        assert s.amplitudes.tobytes() == want.tobytes()
+    # one amplitude broadcast with stride 0, not 2^24 of them
+    tracemalloc.start()
+    try:
+        s = uniform_superposition(24)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096
+    assert complex(s.amplitudes[-1]) == 2.0 ** -12
 
 
 def test_uniform_superposition_range():
@@ -335,18 +345,20 @@ def test_a_drifting_chain_is_rejected_at_the_same_gate(n, norm_sq):
 
 def test_apply_allocates_only_the_output():
     n = 16
-    s = StateVector(random_state(np.random.default_rng(5), n))
     gate = DiagonalTwoQubitGate.from_phi1(0.3)
-    tracemalloc.start()
-    try:
-        out = apply_cphase(s, gate, GatePlacement(11, 3))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.25 * s.amplitudes.nbytes
-    want = reference_cphase(s.amplitudes, n, 11, 3,
-                            gate.equal_bits_factor, gate.unequal_bits_factor)
-    assert np.array_equal(out.amplitudes, want)
+    # the broadcast uniform state is read in place, and its output is a whole array
+    for s in StateVector(random_state(np.random.default_rng(5), n)), uniform_superposition(n):
+        tracemalloc.start()
+        try:
+            out = apply_cphase(s, gate, GatePlacement(11, 3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * out.amplitudes.nbytes
+        assert out.amplitudes.flags.c_contiguous
+        want = reference_cphase(s.amplitudes, n, 11, 3,
+                                gate.equal_bits_factor, gate.unequal_bits_factor)
+        assert np.array_equal(out.amplitudes, want)
 
 
 @pytest.fixture
