@@ -125,14 +125,15 @@ def row_blocks(table: np.ndarray) -> Iterator[np.ndarray]:
     return (table[start:start + _TEXT_BLOCK] for start in range(0, len(table), _TEXT_BLOCK))
 
 
-def table_text(pieces: Sequence[str | tuple[np.ndarray, np.ndarray]]) -> str:
+def table_text(pieces: Sequence[str | tuple[np.ndarray, np.ndarray | None]]) -> str:
     """One line per table row, the pieces side by side.
 
     A `str` piece is written as it is on every line. A field is a
     `vocabulary` and an integer table of up to `_TEXT_BLOCK` rows, whose row
-    writes the tokens of its entries (a 1-d table is one column). The block
-    is laid out as one (rows, width) uint8 array; when a vocabulary's tokens
-    differ in width, the NUL padding goes in one mask.
+    writes the tokens of its entries (a 1-d table is one column; `None`: the
+    vocabulary's rows are the lines' tokens). The block is laid out as one
+    (rows, width) uint8 array; when a vocabulary's tokens differ in width,
+    the NUL padding goes in one mask.
     """
     fields = [piece for piece in pieces if not isinstance(piece, str)]
     lines = _laid_out(pieces, len(fields[0][1]))
@@ -141,7 +142,8 @@ def table_text(pieces: Sequence[str | tuple[np.ndarray, np.ndarray]]) -> str:
     return str(lines, "ascii")
 
 
-def _laid_out(pieces: Sequence[str | tuple[np.ndarray, np.ndarray]], rows: int) -> np.ndarray:
+def _laid_out(pieces: Sequence[str | tuple[np.ndarray, np.ndarray | None]],
+              rows: int) -> np.ndarray:
     """The lines of `table_text` as one flat uint8 array, NUL padding and all
     (apart, so that the looked-up columns are freed before the NUL mask)."""
     columns = [_opaque(piece, rows) for piece in pieces if piece]
@@ -151,12 +153,12 @@ def _laid_out(pieces: Sequence[str | tuple[np.ndarray, np.ndarray]], rows: int) 
     return lines.view(np.uint8)
 
 
-def _opaque(piece: str | tuple[np.ndarray, np.ndarray], rows: int) -> np.ndarray:
+def _opaque(piece: str | tuple[np.ndarray, np.ndarray | None], rows: int) -> np.ndarray:
     """A piece of every line as one opaque item per row (a `str`: one for all
     rows), so that laying out a line copies whole pieces, not single bytes."""
     if isinstance(piece, str):
         return np.frombuffer(piece.encode("ascii"), f"V{len(piece)}")[0]
-    tokens = np.take(*piece, axis=0).reshape(rows, -1)
+    tokens = piece[0] if piece[1] is None else np.take(*piece, axis=0).reshape(rows, -1)
     return tokens.view(f"V{tokens.shape[1]}")[:, 0]
 
 

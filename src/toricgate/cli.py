@@ -3,15 +3,16 @@
 Subcommands: gate (Berry phases and gate angles), apply (run the gate on a
 state), concurrence, partition (phase classes, optionally checked against
 the hypercube), fan (charts, rays, cones, moment polytope), render (SVG or
-DOT figure). Exit codes: 0 success, 1 usage error, 2 domain error (also
-when memory runs out or the reader of stdout goes away). Floats are printed
-with 17 significant digits.
+DOT figure, its `--out` rewritten in place). Exit codes: 0 success, 1 usage
+error, 2 domain error (also when memory runs out or the reader of stdout goes
+away). Floats are printed with 17 significant digits.
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import os
+import stat
 import sys
 
 from .phase_partition import (_check_qubit_count, _class_arrays, _hypercube_failure,
@@ -168,14 +169,19 @@ def _cmd_render(args: argparse.Namespace) -> int:
     if args.format == "svg":
         _named_n(args.n, _svg_projection)
         partition = partition_vertices(args.n, placement)
-        blocks = [render_partition_svg(partition)]
+        blocks = [render_partition_svg(partition).encode()]
     else:
         _check_dot_qubits(args.n)
         _named_n(args.n, _check_qubit_count)
         blocks = _dot_blocks(partition_vertices(args.n, placement))
     try:
-        with open(args.out, "w") as out:
-            out.writelines(blocks)
+        # in place: a truncating open of a large file can cost more than its write
+        with open(os.open(args.out, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as out:
+            try:
+                out.writelines(blocks)
+            finally:  # a regular file ends at the bytes written, even when a write fails
+                if stat.S_ISREG(os.fstat(out.fileno()).st_mode):
+                    out.truncate()
     except BrokenPipeError as exc:  # the reader of --out left, not that of stdout
         raise OSError(f"--out {args.out}: {exc.strerror}") from None
     print(f"wrote {args.out}")

@@ -5,7 +5,8 @@ edges in sorted order, and every coordinate is printed with a fixed format.
 The SVG canvas is an 800x800 viewBox with a 40 px margin; the ambient cube
 skeleton is drawn in neutral gray, 1.5 wide, with the two class structures on
 top, 3 wide, diagonal (control-target) moves dashed. A DOT edge line is its low
-end's line `  "<low>" -- "<low>"` with the bytes of its move's bits flipped.
+end's line `  "<low>" -- "<low>"` with the bytes of its move's bits flipped,
+and its blocks are written to a file as the uint8 arrays they are built in.
 """
 from __future__ import annotations
 
@@ -150,24 +151,25 @@ def _edge_templates(lows: np.ndarray, n: int, tail: str) -> np.ndarray:
     return lines.view(f"V{lines.size // lows.size}")
 
 
-def _dot_blocks(partition: PhasePartition) -> Iterator[str]:
-    """The text of `render_partition_dot`, in blocks."""
+def _dot_blocks(partition: PhasePartition) -> Iterator[bytes | np.ndarray]:
+    """The text of `render_partition_dot` as ASCII, in blocks: `bytes`, or
+    the uint8 arrays the edge lines are laid out in."""
     n = partition.n_qubits
     placement = partition.placement
     yield (f'graph "partition_n{n}_c{placement.control}_t{placement.target}" {{\n'
-           '  node [shape=circle, style=filled, fontname="monospace"];\n')
+           '  node [shape=circle, style=filled, fontname="monospace"];\n').encode()
     agree = partition._agree
     colors = vocabulary((PHI2_COLOR, PHI1_COLOR))  # indexed by agreement
     for vertices in row_blocks(np.arange(1 << n)):
         yield table_text(['  "', *label_fields(vertices, n), '" [fillcolor="',
-                          (colors, agree[vertices]), '"];\n'])
+                          (colors, agree[vertices]), '"];\n']).encode()
     del vertices  # a view of all 2^n indices, not kept while the edges are written
     for lows, row, bit in cube_edge_moves(n):  # an edge sets one bit of its low end
         templates = _edge_templates(lows, n, ";\n")  # lines 2n + 12 bytes wide
         for rows, bits in zip(row_blocks(row), row_blocks(bit)):
             lines = templates.take(rows).view(np.uint8)
             lines[np.arange(2 * n + 8, lines.size, 2 * n + 12) - bits] = ord("1")
-            yield str(lines, "ascii")
+            yield lines
     top = qubit_mask(min(placement.control, placement.target), n)
     columns = [n + 8 + placement.control, n + 8 + placement.target]  # of a high end's placed bits
     for members, color in ((agree, PHI1_COLOR), (~agree, PHI2_COLOR)):
@@ -176,12 +178,12 @@ def _dot_blocks(partition: PhasePartition) -> Iterator[str]:
         for block in row_blocks(np.flatnonzero(members.reshape(-1, 2, top) & [[True], [False]])):
             lines = _edge_templates(block, n, tail).view(np.uint8)
             lines.reshape(block.size, -1)[:, columns] ^= 1  # '0' <-> '1'
-            yield str(lines, "ascii")
-    yield '}\n'
+            yield lines
+    yield b'}\n'
 
 
 def render_partition_dot(partition: PhasePartition) -> str:
     """Graphviz text: all vertices colored by class, ambient cube edges,
     and the dashed diagonal moves of each class, for up to `MAX_DOT_QUBITS` qubits."""
     _check_dot_qubits(partition.n_qubits)
-    return "".join(_dot_blocks(partition))
+    return str(b"".join(_dot_blocks(partition)), "ascii")

@@ -208,9 +208,9 @@ def _state_blocks(state: StateVector) -> Iterator[str]:
     yield f"n={n}\n"
     amps = state.amplitudes
     for start, block in zip(range(0, amps.size, _TEXT_BLOCK), row_blocks(amps)):
-        rows = np.arange(len(block))
-        yield table_text([*label_fields(start + rows, n), " ", (float_tokens(block.real), rows),
-                          " ", (float_tokens(block.imag), rows), "\n"])
+        yield table_text([*label_fields(np.arange(start, start + len(block)), n), " ",
+                          (float_tokens(block.real), None), " ", (float_tokens(block.imag), None),
+                          "\n"])
 
 
 def state_to_text(state: StateVector) -> str:

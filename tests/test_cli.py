@@ -336,6 +336,48 @@ def test_render_dot(tmp_path):
     assert out_path.read_text() == render_partition_dot(p)
 
 
+@pytest.mark.parametrize("kind, n, renderer", [("svg", 3, render_partition_svg),
+                                               ("dot", 5, render_partition_dot)])
+def test_render_rewrites_a_longer_out_file_to_its_own_length(tmp_path, kind, n, renderer):
+    # --out is written in place, then cut: nothing of the old file's tail is left
+    out_path, made = tmp_path / f"fig.{kind}", tmp_path / "made"
+    out_path.write_bytes(b"x" * (1 << 20))
+    argv = ["render", "--n", str(n), *_PLACED, "--format", kind, "--out"]
+    assert invoke([*argv, str(out_path)]) == (0, f"wrote {out_path}\n", "")
+    assert out_path.read_bytes() == renderer(partition_vertices(n, GatePlacement(1, 2))).encode()
+    # a missing --out is made with the mode a truncating open gives (0o666 less the umask)
+    assert invoke([*argv, str(made)])[0] == 0
+    with open(tmp_path / "reference", "w"):
+        pass
+    assert made.stat().st_mode == (tmp_path / "reference").stat().st_mode
+
+
+def test_render_failing_mid_file_leaves_the_bytes_written(tmp_path, monkeypatch):
+    # the cut runs when a block fails too: the file ends where writing stopped
+    real = cli._dot_blocks
+
+    def first_block_then_fail(partition):
+        blocks = real(partition)
+        yield next(blocks)
+        raise OSError("device gone")
+
+    monkeypatch.setattr("toricgate.cli._dot_blocks", first_block_then_fail)
+    out_path = tmp_path / "fig.dot"
+    out_path.write_bytes(b"x" * (1 << 20))
+    code, out, err = invoke(["render", "--n", "5", *_PLACED, "--format", "dot",
+                             "--out", str(out_path)])
+    assert (code, out, err) == (2, "", "toricgate: error: device gone\n")
+    first = next(real(partition_vertices(5, GatePlacement(1, 2))))
+    assert out_path.read_bytes() == first
+
+
+@pytest.mark.parametrize("kind, n", [("svg", 4), ("dot", 12)])
+def test_render_to_a_device_is_written_not_truncated(kind, n):
+    # /dev/null is not a regular file: it takes the bytes and is never cut
+    argv = ["render", "--n", str(n), *_PLACED, "--format", kind, "--out", os.devnull]
+    assert invoke(argv) == (0, f"wrote {os.devnull}\n", "")
+
+
 def test_render_dot_above_cap_is_domain_error(tmp_path, monkeypatch):
     # refused before the partition is built or --out is created
     def refuse(*args):
