@@ -371,10 +371,9 @@ def test_render_failing_mid_file_leaves_the_bytes_written(tmp_path, monkeypatch)
     assert out_path.read_bytes() == first
 
 
-@pytest.mark.parametrize("kind, n", [("svg", 4), ("dot", 12)])
-def test_render_to_a_device_is_written_not_truncated(kind, n):
+def test_render_to_a_device_is_written_not_truncated():
     # /dev/null is not a regular file: it takes the bytes and is never cut
-    argv = ["render", "--n", str(n), *_PLACED, "--format", kind, "--out", os.devnull]
+    argv = ["render", "--n", "12", *_PLACED, "--format", "dot", "--out", os.devnull]
     assert invoke(argv) == (0, f"wrote {os.devnull}\n", "")
 
 
