@@ -7,7 +7,7 @@ through `qubit_mask`, `bit_at`, `pair_view`, `cube_edge_moves` and the bit-strin
 codecs (`bitstring`/`label_fields` and `index_of`/`indices_of`). The partitions
 count crossings and class edges on an agreement mask written through `pair_view`,
 with no edge list; only the renderers walk the cube's edges, each a low end and
-the bit it sets (`cube_edge_moves`, whose rows are `cube_edges`).
+the bit it sets, through the one enumerator `cube_edge_moves`.
 
 Texts are written in blocks of up to `_TEXT_BLOCK` lines, which the CLI
 writes as they come. Every text is formatted by `table_text`: integer tables
@@ -16,10 +16,10 @@ with the bit string of an index looked up a byte at a time (`label_fields`).
 The floats of the state text are a vocabulary too: `float_tokens` writes
 each double as `'%.17g' % x` does, byte for byte, and `_float_values` reads
 a token back as `float()` does, bit for bit. Both scale exactly through one
-table of double-double powers of ten, each row filled from `Fraction` the
-first time it is read (`_powers_of_ten`); the writer reads it through a
-table of the binades of the doubles, filled the same way (`_decades`). What
-that scale cannot round for certain (a near-tie) is left to `'%.17g'` or
+table of double-double powers of ten (`_powers_of_ten`); the writer reads it
+through a table of the binades of the doubles (`_decades`). Each table is
+built whole, exactly and read-only, the first time it is read. What that
+scale cannot round for certain (a near-tie) is left to `'%.17g'` or
 `float()` itself, as are subnormals, inf and nan on the way out and tokens
 outside the word kernel's grammar on the way in.
 
@@ -35,7 +35,6 @@ import functools
 import itertools
 import math
 from collections.abc import Iterable, Iterator, Sequence
-from fractions import Fraction
 
 import numpy as np
 
@@ -73,20 +72,8 @@ def pair_view(array: np.ndarray, qubit_a: int, qubit_b: int) -> np.ndarray:
     return array.reshape(1 << (a - 1), 2, 1 << (b - a - 1), 2, 1 << (n - b))
 
 
-def cube_edges(n: int) -> np.ndarray:
-    """Edges of the n-cube as an (E, 2) array of (low, high) rows in ascending order."""
-    return np.concatenate([np.empty((0, 2), np.int64), *cube_edge_blocks(n)])
-
-
-def cube_edge_blocks(n: int) -> Iterator[np.ndarray]:
-    """The rows of `cube_edges(n)` in order, in blocks of up to `_TEXT_BLOCK`,
-    built from `_TEXT_BLOCK` low ends at a time and never all at once."""
-    for lows, row, bit in cube_edge_moves(n):
-        yield from row_blocks(np.stack((lows[row], lows[row] | 1 << bit), axis=1))
-
-
 def cube_edge_moves(n: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The n-cube's edges in the order of `cube_edges`, `_TEXT_BLOCK` low ends at a
+    """The n-cube's edges, (low, high) ascending, `_TEXT_BLOCK` low ends at a
     time: the low ends, and the (row, bit) pairs of their clear bits (bit 0 the
     least significant), each the edge from `lows[row]` to `lows[row] | 1 << bit`."""
     for start in range(0, 1 << n, _TEXT_BLOCK):
@@ -164,51 +151,55 @@ def _opaque(piece: str | tuple[np.ndarray, np.ndarray | None], rows: int) -> np.
 
 # 10^q = (hi + lo) * 2^exp, 1 <= hi < 2, for q from _Q_LOW (where the reader's
 # D * 10^q, D < 10^19, stops being normal) to _Q_HIGH (the writer's largest
-# 10^(16 - X)), in row q - _Q_LOW. A row is filled the first time it is read,
-# hi last (0 until then), and never changed after: every caller reads the same.
+# 10^(16 - X)), in row q - _Q_LOW.
 _Q_LOW, _Q_HIGH = -326, 324
-_TEN_HI, _TEN_LO = np.zeros(_Q_HIGH - _Q_LOW + 1), np.zeros(_Q_HIGH - _Q_LOW + 1)
-_TEN_EXP = np.zeros(_Q_HIGH - _Q_LOW + 1, np.int64)
 _TIE = 2.0 ** -30  # a computed fraction this close to 1/2 is left to '%.17g' or float()
 _SPLIT = 2.0 ** 27 + 1  # Veltkamp's constant: halves a double into 26-bit parts
 
 
+@functools.cache
+def _ten_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The hi, lo and exp columns of the powers of ten, read-only, each row
+    exact: a true division of Python ints is correctly rounded."""
+    rows = []
+    for q in range(_Q_LOW, _Q_HIGH + 1):
+        exp = q + ((q * 1217359) >> 19)  # floor(q * log2(10)) (Adams's Ryu, for log2(5))
+        num, den = 10 ** max(q, 0) << max(-exp, 0), 10 ** max(-q, 0) << max(exp, 0)
+        hi = num / den  # num / den = 10^q / 2^exp, in [1, 2)
+        rows.append((hi, ((num << 52) - int(hi * 2 ** 52) * den) / (den << 52), exp))
+    hi, lo, exp = zip(*rows)
+    tables = np.array(hi), np.array(lo), np.array(exp, np.int64)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def _powers_of_ten(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """hi, lo and exp of 10^q for each q in _Q_LOW.._Q_HIGH, its row first
-    filled exactly from `Fraction` where it is not yet."""
-    row = q - _Q_LOW
-    if not _TEN_HI[row].all():
-        for at in set(row[_TEN_HI[row] == 0].tolist()):
-            ten = Fraction(10) ** (at + _Q_LOW)
-            exp = ten.numerator.bit_length() - ten.denominator.bit_length()
-            exp -= ten < Fraction(2) ** exp
-            mantissa = ten / Fraction(2) ** exp
-            hi = float(mantissa)
-            _TEN_LO[at] = float(mantissa - Fraction(hi))
-            _TEN_EXP[at] = exp
-            _TEN_HI[at] = hi
-    return _TEN_HI[row], _TEN_LO[row], _TEN_EXP[row]
+    """hi, lo and exp of 10^q for each q in _Q_LOW.._Q_HIGH."""
+    return tuple(np.take(column, q - _Q_LOW) for column in _ten_table())
 
 
-# Per binade 2^e of the normal doubles, in row e + 1023: k, the bits of the least
-# double >= 10^(k+1), and in columns 2 * (e + 1023) + X - k, C for X = k, k + 1
-# (see `float_tokens`), filled from `_powers_of_ten` when first read, bits last.
-_DECADE, _DECADE_END = np.zeros(2047, np.int64), np.zeros(2047, np.uint64)
-_SCALES = np.zeros((2, 2 * 2047))
+@functools.cache
+def _decade_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per binade 2^e of the doubles, in row e + 1023: k, the bits of the least
+    double >= 10^(k+1), and in columns 2 * (e + 1023) + X - k, C for X = k, k + 1
+    (see `float_tokens`); read-only."""
+    rows = np.arange(2047)
+    k = ((rows - 1023) * 78913) >> 18  # floor(e * log10(2)) (Adams's Ryu)
+    hi, lo, exp = _powers_of_ten(np.stack([16 - k, 15 - k, k + 1]))
+    scale = ((exp[:2] + rows - 52) << 52).view(np.float64)  # 2^(exp + e - 52), normal
+    scales = np.stack([hi[:2] * scale, lo[:2] * scale]).swapaxes(1, 2).reshape(2, -1)
+    end = (hi[2].view(np.int64) + (exp[2] << 52) + (lo[2] > 0)).view(np.uint64)
+    for table in (k, end, scales):
+        table.flags.writeable = False
+    return k, end, scales
 
 
 def _decades(magnitude: np.ndarray, biased: np.ndarray) -> tuple[np.ndarray, ...]:
     """X and C = hi + lo (see `float_tokens`) of each normal |x|, given as its bits and binade."""
-    end = _DECADE_END[biased]
-    if not end.all():
-        rows = np.unique(biased[end == 0])
-        _DECADE[rows] = k = ((rows - 1023) * 78913) >> 18  # floor(e * log10(2)) (Adams's Ryu)
-        hi, lo, exp = _powers_of_ten(np.stack([16 - k, 15 - k, k + 1]))
-        scale = ((exp[:2] + rows - 52) << 52).view(np.float64)  # 2^(exp + e - 52), normal
-        _SCALES[:, 2 * rows + [[0], [1]]] = hi[:2] * scale, lo[:2] * scale
-        _DECADE_END[rows] = hi[2].view(np.int64) + (exp[2] << 52) + (lo[2] > 0)
-        end = _DECADE_END[biased]
-    return _DECADE[biased] + (up := magnitude >= end), *np.take(_SCALES, 2 * biased + up, axis=1)
+    decade, end, scales = _decade_table()
+    up = magnitude >= end[biased]
+    return decade[biased] + up, *np.take(scales, 2 * biased + up, axis=1)
 
 
 def _split(value: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -15,14 +15,14 @@ import os
 import stat
 import sys
 
-from .phase_partition import (_check_qubit_count, _class_arrays, _hypercube_failure,
-                              _partition_blocks, intersection_summary, partition_vertices)
+from .phase_partition import (_class_arrays, _hypercube_failure, _partition_blocks,
+                              intersection_summary, partition_vertices)
 from .render import _check_dot_qubits, _dot_blocks, _svg_projection, render_partition_svg
-from .spin_model import (BerryPhaseResult, DegenerateDrive, DiagonalTwoQubitGate,
-                         PhysicalParams, berry_phases, cphase_gate)
-from .statevec import (GatePlacement, _read_state_file, _state_blocks, apply_cphase,
-                       concurrence, uniform_superposition)
-from .toric_geometry import NonSimplicialCone, NotFullDimensional, _product_p1_blocks
+from .spin_model import (BerryPhaseResult, DiagonalTwoQubitGate, PhysicalParams, berry_phases,
+                         cphase_gate)
+from .statevec import (GatePlacement, _check_qubit_count, _read_state_file, _state_blocks,
+                       apply_cphase, concurrence, uniform_superposition)
+from .toric_geometry import _product_p1_blocks
 
 USAGE_EXIT = 1
 DOMAIN_EXIT = 2
@@ -46,11 +46,8 @@ def _fmt(value: float) -> str:
 
 
 def _add_gate_flags(parser: argparse.ArgumentParser, required: bool) -> None:
-    parser.add_argument("--omega-i", dest="omega_i", type=float, required=required)
-    parser.add_argument("--omega-j", dest="omega_j", type=float, required=required)
-    parser.add_argument("--j", dest="j", type=float, required=required)
-    parser.add_argument("--omega", dest="omega", type=float, required=required)
-    parser.add_argument("--omega1", dest="omega1", type=float, required=required)
+    for name in _GATE_FLAGS:
+        parser.add_argument(f"--{name.replace('_', '-')}", type=float, required=required)
 
 
 def _phases_from_args(args: argparse.Namespace) -> BerryPhaseResult:
@@ -59,19 +56,12 @@ def _phases_from_args(args: argparse.Namespace) -> BerryPhaseResult:
     return berry_phases(params)
 
 
-def _named_n(n: int, call):
-    """`call(n)`, with a ValueError it raises about n prefixed by `--n <n>: `."""
+def _named(flag: str, value, call):
+    """`call(value)`, with a ValueError it raises prefixed by `<flag> <value>: `."""
     try:
-        return call(n)
+        return call(value)
     except ValueError as exc:
-        raise ValueError(f"--n {n}: {exc}") from None
-
-
-def _gate_from_phi1(phi1: float) -> DiagonalTwoQubitGate:
-    try:
-        return DiagonalTwoQubitGate.from_phi1(phi1)
-    except ValueError as exc:
-        raise ValueError(f"--phi1 {phi1!r}: {exc}") from None
+        raise ValueError(f"{flag} {value!r}: {exc}") from None
 
 
 def _gate_from_args(args: argparse.Namespace) -> DiagonalTwoQubitGate:
@@ -79,7 +69,7 @@ def _gate_from_args(args: argparse.Namespace) -> DiagonalTwoQubitGate:
     if args.phi1 is not None:
         if any(given):
             raise UsageError("pass either --phi1 or the spin drive flags, not both")
-        return _gate_from_phi1(args.phi1)
+        return _named("--phi1", args.phi1, DiagonalTwoQubitGate.from_phi1)
     if all(given):
         return cphase_gate(_phases_from_args(args))
     if any(given):
@@ -122,7 +112,7 @@ def _cmd_apply(args: argparse.Namespace) -> int:
     else:
         if args.n is None:
             raise UsageError("--n is required unless --input provides a state")
-        state = _named_n(args.n, uniform_superposition)
+        state = _named("--n", args.n, uniform_superposition)
     gate = _gate_from_args(args)
     placement = GatePlacement(args.control, args.target)
     out = apply_cphase(state, gate, placement)
@@ -134,7 +124,7 @@ def _cmd_concurrence(args: argparse.Namespace) -> int:
     if args.input is not None:
         state = _read_state_file(args.input)
     else:
-        gate = _gate_from_phi1(args.phi1)
+        gate = _named("--phi1", args.phi1, DiagonalTwoQubitGate.from_phi1)
         state = apply_cphase(uniform_superposition(2), gate, GatePlacement(1, 2))
     print(_fmt(concurrence(state)))
     return 0
@@ -142,7 +132,7 @@ def _cmd_concurrence(args: argparse.Namespace) -> int:
 
 def _cmd_partition(args: argparse.Namespace) -> int:
     placement = GatePlacement(args.control, args.target)
-    _named_n(args.n, _check_qubit_count)
+    _named("--n", args.n, _check_qubit_count)
     partition = partition_vertices(args.n, placement)
     sys.stdout.writelines(_partition_blocks(partition))
     if args.check_hypercube:
@@ -159,7 +149,7 @@ def _cmd_partition(args: argparse.Namespace) -> int:
 
 
 def _cmd_fan(args: argparse.Namespace) -> int:
-    sys.stdout.writelines(_named_n(args.n, _product_p1_blocks))
+    sys.stdout.writelines(_named("--n", args.n, _product_p1_blocks))
     return 0
 
 
@@ -167,12 +157,12 @@ def _cmd_render(args: argparse.Namespace) -> int:
     placement = GatePlacement(args.control, args.target)
     # each format refuses its qubit count before the partition is built or --out opened
     if args.format == "svg":
-        _named_n(args.n, _svg_projection)
+        _named("--n", args.n, _svg_projection)
         partition = partition_vertices(args.n, placement)
         blocks = [render_partition_svg(partition).encode()]
     else:
         _check_dot_qubits(args.n)
-        _named_n(args.n, _check_qubit_count)
+        _named("--n", args.n, _check_qubit_count)
         blocks = _dot_blocks(partition_vertices(args.n, placement))
     try:
         # in place: a truncating open of a large file can cost more than its write
@@ -267,8 +257,7 @@ def main(argv: list[str] | None = None) -> int:
         n = "" if getattr(args, "n", None) is None else f" --n {args.n}"
         print(f"{parser.prog}: error: out of memory in {args.command}{n}", file=sys.stderr)
         return DOMAIN_EXIT
-    except (DegenerateDrive, NonSimplicialCone, NotFullDimensional,
-            ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # the package's own errors are ValueErrors
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return DOMAIN_EXIT
 

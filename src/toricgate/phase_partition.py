@@ -18,8 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .bits import MAX_QUBITS, _adopt, label_fields, pair_view, qubit_mask, row_blocks, table_text
-from .statevec import GatePlacement, _check_placement
+from .bits import _adopt, label_fields, pair_view, qubit_mask, row_blocks, table_text
+from .statevec import GatePlacement, _check_placement, _check_qubit_count
 
 # class graphs hold (n-1)*2^(n-2) edge tuples: `class_graph`, `is_connected` and
 # `is_hypercube_isomorphic` of one class peak at 501 MiB at n = 19, 1021 MiB at 20
@@ -77,14 +77,16 @@ class ClassGraph:
         verts = np.sort(np.array(self.vertices, dtype=np.int64))
         verts = verts[np.diff(verts, prepend=verts[:1] - 1) != 0]  # distinct, no hash table
         ends = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
-        unordered, foreign = ends[:, 0] >= ends[:, 1], ~np.isin(ends, verts)
+        at = np.searchsorted(verts, ends)  # where each end is, or would go, among the vertices
+        foreign = verts.take(at, mode="clip") != ends if verts.size else np.ones(ends.shape, bool)
+        unordered = ends[:, 0] >= ends[:, 1]
         # the first bad edge decides the message: its order, then its ends
         for i in np.flatnonzero(unordered | foreign.any(axis=1))[:1]:
             if unordered[i]:
                 raise ValueError("edges must be (low, high) pairs")
             raise ValueError(f"edge endpoint {ends[i][foreign[i]][0]} is not in the class")
         want = self.n_qubits - 1
-        degree = np.bincount(np.searchsorted(verts, ends).ravel(), minlength=verts.size)
+        degree = np.bincount(at.ravel(), minlength=verts.size)
         if (degree != want).any():
             raise ValueError(f"every vertex must have degree {want}")
         ends = ends[np.lexsort(ends.T[::-1])]
@@ -119,11 +121,6 @@ class IntersectionSummary:
     shared_vertices: int
     crossing_edges: int
     ambient_edges: int
-
-
-def _check_qubit_count(n_qubits: int) -> None:
-    if not 2 <= n_qubits <= MAX_QUBITS:
-        raise ValueError(f"n_qubits must lie in 2..{MAX_QUBITS}")
 
 
 def _check_graph_qubits(n_qubits: int) -> None:

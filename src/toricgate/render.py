@@ -14,8 +14,8 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .bits import (_laid_out, bitstring, cube_edge_moves, cube_edges, label_fields, qubit_mask,
-                   row_blocks, table_text, vocabulary)
+from .bits import (_laid_out, bitstring, cube_edge_moves, label_fields, qubit_mask, row_blocks,
+                   vocabulary)
 from .phase_partition import PhasePartition, class_graph
 
 CANVAS = 800.0
@@ -106,10 +106,11 @@ def render_partition_svg(partition: PhasePartition) -> str:
         f'{partition.placement.control}, target {partition.placement.target}</title>',
     ]
     out.append(f'  <g stroke="{AMBIENT_COLOR}" stroke-width="1.500">')
-    for u, v in cube_edges(n):
-        (x1, y1), (x2, y2) = points[u], points[v]
-        out.append(f'    <line x1="{_fmt(x1)}" y1="{_fmt(y1)}" '
-                   f'x2="{_fmt(x2)}" y2="{_fmt(y2)}"/>')
+    for lows, row, bit in cube_edge_moves(n):
+        for u, v in zip(lows[row].tolist(), (lows[row] | 1 << bit).tolist()):
+            (x1, y1), (x2, y2) = points[u], points[v]
+            out.append(f'    <line x1="{_fmt(x1)}" y1="{_fmt(y1)}" '
+                       f'x2="{_fmt(x2)}" y2="{_fmt(y2)}"/>')
     out.append('  </g>')
     for graph, color in zip(graphs, colors):
         mask = graph.diagonal_mask()
@@ -153,16 +154,16 @@ def _edge_templates(lows: np.ndarray, n: int, tail: str) -> np.ndarray:
 
 def _dot_blocks(partition: PhasePartition) -> Iterator[bytes | np.ndarray]:
     """The text of `render_partition_dot` as ASCII, in blocks: `bytes`, or
-    the uint8 arrays the edge lines are laid out in."""
+    the uint8 arrays the vertex and edge lines are laid out in."""
     n = partition.n_qubits
     placement = partition.placement
     yield (f'graph "partition_n{n}_c{placement.control}_t{placement.target}" {{\n'
            '  node [shape=circle, style=filled, fontname="monospace"];\n').encode()
     agree = partition._agree
-    colors = vocabulary((PHI2_COLOR, PHI1_COLOR))  # indexed by agreement
+    colors = vocabulary((PHI2_COLOR, PHI1_COLOR))  # indexed by agreement; one width, no NUL
     for vertices in row_blocks(np.arange(1 << n)):
-        yield table_text(['  "', *label_fields(vertices, n), '" [fillcolor="',
-                          (colors, agree[vertices]), '"];\n']).encode()
+        yield _laid_out(['  "', *label_fields(vertices, n), '" [fillcolor="',
+                         (colors, agree[vertices]), '"];\n'], vertices.size)
     del vertices  # a view of all 2^n indices, not kept while the edges are written
     for lows, row, bit in cube_edge_moves(n):  # an edge sets one bit of its low end
         templates = _edge_templates(lows, n, ";\n")  # lines 2n + 12 bytes wide

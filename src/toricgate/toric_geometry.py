@@ -20,6 +20,7 @@ moment polytope and dual cones) is adopted as built, not checked again.
 from __future__ import annotations
 
 import itertools
+import numbers
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
@@ -323,7 +324,7 @@ def support_in_cone(support: LaurentSupport, cone: Cone) -> bool:
 
 
 def _check_factor_count(n: int) -> None:
-    if not 1 <= n <= MAX_FACTORS:
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or not 1 <= n <= MAX_FACTORS:
         raise ValueError(f"factor count must lie in 1..{MAX_FACTORS}")
 
 

@@ -1,5 +1,7 @@
 """Shared oracles for the test suite, independent of the library internals."""
+import functools
 import itertools
+import math
 import re
 from collections import deque
 from fractions import Fraction
@@ -107,6 +109,35 @@ def hypercube_edges(m):
     """Edges of Q_m as (low, high) pairs."""
     return {(v, v | (1 << b)) for v in range(1 << m)
             for b in range(m) if not v & (1 << b)}
+
+
+@functools.cache
+def power_of_ten_row(q):
+    """(hi, lo, exp) with 10^q = (hi + lo) * 2^exp and 1 <= hi < 2 as a real
+    number, hi the double nearest it and lo the double nearest the rest."""
+    ten, exp = Fraction(10) ** q, 0
+    while Fraction(2) ** exp > ten:
+        exp -= 1
+    while Fraction(2) ** (exp + 1) <= ten:
+        exp += 1
+    mantissa = ten / Fraction(2) ** exp
+    hi = float(mantissa)
+    return hi, float(mantissa - Fraction(hi)), exp
+
+
+def decade_row(e):
+    """Of the binade 2^e: its decade k, 10^k <= 2^e < 10^(k+1) (from the digit
+    count of 2^e or 5^-e), the bits of the least double >= 10^(k+1), and for
+    X = k and k + 1 the hi and lo of 10^(16 - X) times 2^(exp + e - 52)."""
+    k = len(str(2 ** e)) - 1 if e >= 0 else len(str(5 ** -e)) - 1 + e
+    ten = Fraction(10) ** (k + 1)
+    least = float(ten)
+    least = least if Fraction(least) >= ten else math.nextafter(least, math.inf)
+    scaled = []
+    for x in (k, k + 1):
+        hi, lo, exp = power_of_ten_row(16 - x)
+        scaled += [float(Fraction(part) * Fraction(2) ** (exp + e - 52)) for part in (hi, lo)]
+    return (k, int(np.float64(least).view(np.uint64)), *scaled)
 
 
 def cube_match_oracle(n, target, vertices, edges):

@@ -9,33 +9,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import hypercube_edges
+from helpers import decade_row, hypercube_edges, power_of_ten_row
 from toricgate import bits
 from toricgate.bits import (_TEXT_BLOCK, _decimal_digits, _decimal_values, _float_values,
-                            bit_at, bitstring, cube_edge_blocks, cube_edges,
-                            float_tokens, index_of, indices_of, label_fields, pair_view,
+                            bit_at, bitstring, cube_edge_moves, float_tokens, index_of, indices_of, label_fields, pair_view,
                             qubit_mask, row_blocks, table_text)
-
-
-@settings(derandomize=True, max_examples=30, deadline=None)
-@given(st.integers(1, 12))
-def test_cube_edges_match_oracle(n):
-    edges = cube_edges(n)
-    assert edges.shape == (n * 2 ** (n - 1), 2)
-    assert [tuple(e) for e in edges.tolist()] == sorted(hypercube_edges(n))
-
-
-def test_cube_edges_of_the_point():
-    assert cube_edges(0).shape == (0, 2)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 9, 10, 13, 14])
 def test_cube_edge_blocks_are_the_edge_table_in_full_blocks(n):
-    # from n = 10 on, the edges of one range of low ends span several blocks,
-    # the last of them short: no block but the last need be full
-    blocks = list(cube_edge_blocks(n))
-    assert all(0 < len(block) <= _TEXT_BLOCK for block in blocks)
-    assert [tuple(e) for block in blocks for e in block.tolist()] == sorted(hypercube_edges(n))
+    # the rows of `cube_edge_moves`: each block's low ends are the next up to
+    # _TEXT_BLOCK indices, and its (row, bit) pairs are the cube's edges in
+    # ascending (low, high) order; the point has one low end and no edge
+    edges, lows_seen = [], []
+    for lows, row, bit in cube_edge_moves(n):
+        assert 0 < len(lows) <= _TEXT_BLOCK and len(row) == len(bit)
+        lows_seen += lows.tolist()
+        edges += zip(lows[row].tolist(), (lows[row] | 1 << bit).tolist())
+    assert lows_seen == list(range(2 ** n))
+    assert edges == sorted(hypercube_edges(n))
 
 
 def test_qubit_mask_and_bit_at_follow_the_string_order():
@@ -164,32 +156,41 @@ def test_float_tokens_of_planted_values():
     assert {-305, -14} <= set(carried)
 
 
-def test_powers_of_ten_are_filled_on_first_use_only():
-    # no row at import; formatting 1.0 reads the row of its binade, which is
-    # filled from the rows of 10^1, 10^16 and 10^15, and reading it back reads
-    # the row of 10^0
+def test_importing_toricgate_builds_no_float_table():
+    # the tables are built whole on first use: reading back one token builds
+    # the powers of ten alone, writing one builds the binades from them
     code = "\n".join([
-        "import numpy as np, toricgate",
+        "import numpy as np, toricgate, toricgate.cli",
         "from toricgate import bits",
-        "def filled():",
-        "    powers, binades = np.count_nonzero(bits._TEN_HI), np.flatnonzero(bits._DECADE_END)",
-        "    return [int(powers), binades.tolist()]",
-        "before = filled()",
-        "bits.float_tokens(np.array([1.0]))",
-        "written = filled()",
+        "def built():",
+        "    return [bits._ten_table.cache_info().currsize, bits._decade_table.cache_info().currsize]",
+        "before = built()",
         "bits._float_values(np.frombuffer(b' ' * 24 + b'1  ', np.uint8), *np.array([[24], [25]]))",
-        "print([before, written, filled()])"])
+        "read = built()",
+        "bits.float_tokens(np.array([1.0]))",
+        "print([before, read, built()])"])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (
-        0, "[[0, []], [3, [1023]], [4, [1023]]]\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[[0, 0], [1, 0], [1, 1]]\n", "")
+
+
+def test_float_tables_match_a_fraction_oracle():
+    # every row of both tables, the binade of the subnormals (never read) included
+    tens, decades = bits._ten_table(), bits._decade_table()
+    assert not any(table.flags.writeable for table in tens + decades)
+    hi, lo, exp = (column.tolist() for column in tens)
+    assert list(zip(hi, lo, exp)) == [power_of_ten_row(q) for q in range(-326, 325)]
+    k, end, scales = decades
+    rows = zip(k.tolist(), end.tolist(), scales.reshape(2, -1, 2).transpose(1, 0, 2).tolist())
+    for e, (k_e, end_e, ((hi_k, hi_k1), (lo_k, lo_k1))) in zip(range(-1023, 1024), rows):
+        assert (k_e, end_e, hi_k, lo_k, hi_k1, lo_k1) == decade_row(e), e
 
 
 def test_decades_match_an_exact_oracle():
     # every normal binade 2^e: its decade k, 10^k <= 2^e < 10^(k+1), from the
     # digit count of 2^e or of 5^-e, and the least double >= 10^(k+1)
-    bits._decades(np.zeros(2046, np.uint64), np.arange(1, 2047))  # fills every row
-    rows = zip(range(-1022, 1024), bits._DECADE[1:].tolist(), bits._DECADE_END[1:].tolist())
+    decade, end, _ = bits._decade_table()
+    rows = zip(range(-1022, 1024), decade[1:].tolist(), end[1:].tolist())
     for e, k, above in rows:
         want = len(str(2 ** e)) - 1 if e >= 0 else len(str(5 ** -e)) - 1 + e
         ten = Fraction(10) ** (want + 1)

@@ -103,6 +103,15 @@ def test_partition_input_validation():
         PhasePartition(25, GatePlacement(1, 99))
 
 
+@pytest.mark.parametrize("n", [True, 3.0, 2.5, "3", None])
+def test_partition_takes_integer_counts_only(n):
+    with pytest.raises(ValueError, match=r"^n_qubits must lie in 2\.\.24$"):
+        partition_vertices(n, GatePlacement(1, 2))
+    # numpy integers are integers
+    assert partition_vertices(np.int64(3), GatePlacement(1, 2))._agree.tolist() == \
+        partition_vertices(3, GatePlacement(1, 2))._agree.tolist()
+
+
 def test_class_sets_are_not_inputs():
     # the classes follow from (n, placement): a partition takes no class sets
     with pytest.raises(TypeError):
@@ -375,6 +384,21 @@ def test_class_graph_degree_validated():
                    vertices=(0, 1, 6, 7), edges=((0, 1), (6, 7)))
 
 
+def test_class_graph_takes_labels_past_the_membership_table():
+    # a 4-cycle on labels as far apart as int64 allows: one search of the
+    # sorted vertices places each end, for its membership and its degree
+    wide, top = 1 << 61, (1 << 63) - 1
+    vertices = (top, -wide, wide, -top - 1)
+    edges = ((-top - 1, -wide), (-wide, wide), (wide, top), (-top - 1, top))
+    graph = ClassGraph(3, GatePlacement(1, 2), "phi1", vertices, edges)
+    assert graph._verts.tolist() == sorted(vertices)
+    assert graph._ends.tolist() == sorted(map(list, edges))
+    with pytest.raises(ValueError, match=f"^edge endpoint {top} is not in the class$"):
+        ClassGraph(3, GatePlacement(1, 2), "phi1", vertices[1:], edges)
+    with pytest.raises(ValueError, match="^every vertex must have degree 2$"):
+        ClassGraph(3, GatePlacement(1, 2), "phi1", vertices, edges[:3])
+
+
 def test_class_graph_foreign_vertex_is_value_error():
     wide = 1 << 61  # labels past numpy's table range for membership tests
     cases = [((0, 3), ((0, 2),), 2),
@@ -386,8 +410,9 @@ def test_class_graph_foreign_vertex_is_value_error():
         with pytest.raises(ValueError, match=f"^edge endpoint {foreign} is not in the class$"):
             ClassGraph(2, GatePlacement(1, 2), "phi1", vertices=vertices, edges=edges)
     # the first bad edge decides, and its order is checked before its ends
-    with pytest.raises(ValueError, match=r"^edges must be \(low, high\) pairs$"):
-        ClassGraph(2, GatePlacement(1, 2), "phi1", (-wide, wide), ((wide + 3, wide),))
+    for vertices, edges in (((-wide, wide), ((wide + 3, wide),)), ((), ((1, 0), (0, 1)))):
+        with pytest.raises(ValueError, match=r"^edges must be \(low, high\) pairs$"):
+            ClassGraph(2, GatePlacement(1, 2), "phi1", vertices, edges)
 
 
 def test_intersection_summary_examples():

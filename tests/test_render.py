@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import reference_dot_text
-from toricgate.bits import cube_edges
 from toricgate.phase_partition import partition_vertices
 from toricgate.render import (PROJECTIONS, _dot_blocks, project_vertex, render_partition_dot,
                               render_partition_svg)
@@ -156,16 +155,14 @@ def test_dot_refuses_more_qubits_than_its_cap(monkeypatch):
     def refuse(*args):
         raise AssertionError("built before the cap was checked")
     monkeypatch.setattr("toricgate.render.label_fields", refuse)
-    monkeypatch.setattr("toricgate.render.cube_edges", refuse)
     monkeypatch.setattr("toricgate.render.cube_edge_moves", refuse)
-    monkeypatch.setattr("toricgate.bits.cube_edge_blocks", refuse)
     with pytest.raises(ValueError, match=r"^--n 5: DOT output is capped at 4 qubits$"):
         _dot(5)
 
 
 def test_dot_builds_its_edges_a_block_at_a_time():
-    # the whole (n * 2^(n-1), 2) edge table, which the text once took in one
-    # piece, is larger than the peak of writing the text
+    # the whole (n * 2^(n-1), 2) int64 edge table, 16 bytes an edge, which the
+    # text once took in one piece, is larger than the peak of writing the text
     n = 15
     partition = partition_vertices(n, GatePlacement(1, 2))
     tracemalloc.start()
@@ -176,7 +173,7 @@ def test_dot_builds_its_edges_a_block_at_a_time():
     finally:
         tracemalloc.stop()
     assert size > 12 * 2 ** 20
-    assert peak < cube_edges(n).nbytes
+    assert peak < 16 * n * 2 ** (n - 1)
 
 
 def test_dot_node_order_binary_ascending():

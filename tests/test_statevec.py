@@ -45,6 +45,15 @@ def test_uniform_superposition_range():
         uniform_superposition(25)
 
 
+@pytest.mark.parametrize("n", [True, 3.0, 2.5, "3", None])
+def test_uniform_superposition_takes_integer_counts_only(n):
+    with pytest.raises(ValueError, match=r"^n_qubits must lie in 1\.\.24$"):
+        uniform_superposition(n)
+    # numpy integers are integers
+    assert uniform_superposition(np.uint8(3)).amplitudes.tolist() == \
+        uniform_superposition(3).amplitudes.tolist()
+
+
 def test_state_vector_validation():
     with pytest.raises(ValueError):
         StateVector([1.0, 0.0, 0.0])  # not a power of two

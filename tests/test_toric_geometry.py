@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -475,6 +476,16 @@ def test_moment_polytope():
     n = MAX_FACTORS
     assert moment_polytope(n).vertices == tuple(
         tuple(int(b) for b in format(x, f"0{n}b")) for x in range(1 << n))
+
+
+@pytest.mark.parametrize("n", [True, 2.0, 2.5, "2", None])
+def test_factor_counts_are_integers(n):
+    for build in (product_p1_charts, product_p1_fan, moment_polytope):
+        with pytest.raises(ValueError, match=rf"^factor count must lie in 1\.\.{MAX_FACTORS}$"):
+            build(n)
+    # numpy integers are integers
+    assert polytope_to_text(moment_polytope(np.int64(2))) == polytope_to_text(moment_polytope(2))
+    assert fan_to_text(product_p1_fan(np.int16(2))) == fan_to_text(product_p1_fan(2))
 
 
 def test_polytope_validation():
