@@ -191,7 +191,7 @@ def test_golden_files(kind, n):
 
 
 # SHA-256 of the DOT text above the goldens' sizes, recorded before the
-# renderer took its edges from `bits.cube_edges`
+# renderer took its edges from a shared cube-edge enumerator in `bits`
 DOT_DIGESTS = {
     (8, 1, 8): "704f803ff4b307287fa99bb6e131765dc386a2cab415afdc174c3c06d8cc291e",
     (8, 5, 3): "e5bf4beb28b72237a505b3461372df24b62aa0cc4f9ce0bcddeb0badbe527b96",
