@@ -3,17 +3,20 @@
 Subcommands: gate (Berry phases and gate angles), apply (run the gate on a
 state), concurrence, partition (phase classes, optionally checked against
 the hypercube), fan (charts, rays, cones, moment polytope), render (SVG or
-DOT figure, its `--out` rewritten in place). Exit codes: 0 success, 1 usage
-error, 2 domain error (also when memory runs out or the reader of stdout goes
-away). Floats are printed with 17 significant digits.
+DOT figure, its `--out` rewritten in place). A handler raises its input errors,
+then returns its stdout as `str` blocks, and `main` alone writes them. Exit
+codes: 0 success, 1 usage error, 2 domain error (also when memory runs out or
+the reader of stdout goes away). Floats are printed with 17 significant digits.
 """
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import os
 import stat
 import sys
+from collections.abc import Iterable, Iterator
 
 from .phase_partition import (_class_arrays, _hypercube_failure, _partition_blocks,
                               intersection_summary, partition_vertices)
@@ -81,7 +84,7 @@ def _gate_from_args(args: argparse.Namespace) -> DiagonalTwoQubitGate:
                      "--omega-i --omega-j --j --omega --omega1")
 
 
-def _cmd_gate(args: argparse.Namespace) -> int:
+def _cmd_gate(args: argparse.Namespace) -> list[str]:
     result = _phases_from_args(args)
     pairs = [
         ("cos_theta_plus", result.cos_theta_plus),
@@ -95,15 +98,11 @@ def _cmd_gate(args: argparse.Namespace) -> int:
         ("phi2", result.phi_2),
     ]
     if args.json:
-        body = ", ".join(f'"{name}": {_fmt(value)}' for name, value in pairs)
-        print("{" + body + "}")
-    else:
-        for name, value in pairs:
-            print(f"{name} = {_fmt(value)}")
-    return 0
+        return ["{" + ", ".join(f'"{name}": {_fmt(value)}' for name, value in pairs) + "}\n"]
+    return [f"{name} = {_fmt(value)}\n" for name, value in pairs]
 
 
-def _cmd_apply(args: argparse.Namespace) -> int:
+def _cmd_apply(args: argparse.Namespace) -> Iterable[str]:
     if args.input is not None:
         state = _read_state_file(args.input)
         if args.n is not None and args.n != state.n_qubits:
@@ -114,52 +113,46 @@ def _cmd_apply(args: argparse.Namespace) -> int:
             raise UsageError("--n is required unless --input provides a state")
         state = _named("--n", args.n, uniform_superposition)
     gate = _gate_from_args(args)
-    placement = GatePlacement(args.control, args.target)
-    out = apply_cphase(state, gate, placement)
-    sys.stdout.writelines(_state_blocks(out))
-    return 0
+    return _state_blocks(apply_cphase(state, gate, GatePlacement(args.control, args.target)))
 
 
-def _cmd_concurrence(args: argparse.Namespace) -> int:
+def _cmd_concurrence(args: argparse.Namespace) -> list[str]:
     if args.input is not None:
         state = _read_state_file(args.input)
     else:
         gate = _named("--phi1", args.phi1, DiagonalTwoQubitGate.from_phi1)
         state = apply_cphase(uniform_superposition(2), gate, GatePlacement(1, 2))
-    print(_fmt(concurrence(state)))
-    return 0
+    return [_fmt(concurrence(state)) + "\n"]
 
 
-def _cmd_partition(args: argparse.Namespace) -> int:
+def _cmd_partition(args: argparse.Namespace) -> Iterable[str]:
     placement = GatePlacement(args.control, args.target)
     _named("--n", args.n, _check_qubit_count)
     partition = partition_vertices(args.n, placement)
-    sys.stdout.writelines(_partition_blocks(partition))
-    if args.check_hypercube:
+
+    def verdicts() -> Iterator[str]:  # each computed once the lines before it are written
         for which in ("phi1", "phi2"):
             # the class graph's check, one move direction at a time, with no
             # edge, edge tuple or witness built: each move's edges are counted
             failure = _hypercube_failure(args.n, placement.target,
                                          *_class_arrays(partition, which))
             verdict = "yes" if failure is None else f"no ({failure})"
-            print(f"{which} isomorphic to Q{args.n - 1}: {verdict}")
-        summary = intersection_summary(partition)
-        print(f"crossing edges: {summary.crossing_edges}")
-    return 0
+            yield f"{which} isomorphic to Q{args.n - 1}: {verdict}\n"
+        yield f"crossing edges: {intersection_summary(partition).crossing_edges}\n"
+    return itertools.chain(_partition_blocks(partition),
+                           verdicts() if args.check_hypercube else ())
 
 
-def _cmd_fan(args: argparse.Namespace) -> int:
-    sys.stdout.writelines(_named("--n", args.n, _product_p1_blocks))
-    return 0
+def _cmd_fan(args: argparse.Namespace) -> Iterable[str]:
+    return _named("--n", args.n, _product_p1_blocks)
 
 
-def _cmd_render(args: argparse.Namespace) -> int:
+def _cmd_render(args: argparse.Namespace) -> list[str]:
     placement = GatePlacement(args.control, args.target)
     # each format refuses its qubit count before the partition is built or --out opened
     if args.format == "svg":
         _named("--n", args.n, _svg_projection)
-        partition = partition_vertices(args.n, placement)
-        blocks = [render_partition_svg(partition).encode()]
+        blocks = [render_partition_svg(partition_vertices(args.n, placement)).encode()]
     else:
         _check_dot_qubits(args.n)
         _named("--n", args.n, _check_qubit_count)
@@ -174,8 +167,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
                     out.truncate()
     except BrokenPipeError as exc:  # the reader of --out left, not that of stdout
         raise OSError(f"--out {args.out}: {exc.strerror}") from None
-    print(f"wrote {args.out}")
-    return 0
+    return [f"wrote {args.out}\n"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -184,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "cube/toric structure of their phase classes")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gate = sub.add_parser("gate", parents=[], help="Berry phases and gate angles")
+    gate = sub.add_parser("gate", help="Berry phases and gate angles")
     _add_gate_flags(gate, required=True)
     gate.add_argument("--json", action="store_true")
     gate.set_defaults(handler=_cmd_gate)
@@ -239,9 +231,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_EXIT
     try:
-        code = args.handler(args)
+        sys.stdout.writelines(args.handler(args))
         sys.stdout.flush()  # a closed stdout shows here, not at exit
-        return code
+        return 0
     except UsageError as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return USAGE_EXIT

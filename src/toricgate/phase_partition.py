@@ -42,6 +42,7 @@ class PhasePartition:
     placement: GatePlacement
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n_qubits", _check_qubit_count(self.n_qubits))
         object.__setattr__(self, "_agree", _agreement_mask(self.n_qubits, self.placement))
 
     @cached_property
@@ -131,7 +132,6 @@ def _check_graph_qubits(n_qubits: int) -> None:
 
 def _agreement_mask(n_qubits: int, placement: GatePlacement) -> np.ndarray:
     """Read-only boolean array over the 2^n indices: control and target bits agree."""
-    _check_qubit_count(n_qubits)
     _check_placement(placement, n_qubits)
     agree = np.zeros(1 << n_qubits, dtype=bool)
     view = pair_view(agree, placement.control, placement.target)

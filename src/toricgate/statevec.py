@@ -102,17 +102,19 @@ def _bounds(norm_sq: float, terms: int) -> tuple[float, float]:
     return norm_sq * (1 - terms * 2.0 ** -52), norm_sq * (1 + terms * 2.0 ** -52)
 
 
-def _check_qubit_count(n_qubits: int, least: int = 2) -> None:
-    """An integer, not a bool, from `least` (2 for a gate, 1 for a state) to MAX_QUBITS."""
+def _check_qubit_count(n_qubits: int, least: int = 2) -> int:
+    """An integer, not a bool, from `least` (2 for a gate, 1 for a state) to MAX_QUBITS,
+    returned as an `int`."""
     if (isinstance(n_qubits, bool) or not isinstance(n_qubits, numbers.Integral)
             or not least <= n_qubits <= MAX_QUBITS):
         raise ValueError(f"n_qubits must lie in {least}..{MAX_QUBITS}")
+    return operator.index(n_qubits)
 
 
 def uniform_superposition(n_qubits: int) -> StateVector:
     """Hadamard-on-every-qubit state: all 2^n amplitudes equal to 2^(-n/2), held as one
     read-only amplitude broadcast with stride 0: O(1) memory, and not C-contiguous."""
-    _check_qubit_count(n_qubits, 1)
+    n_qubits = _check_qubit_count(n_qubits, 1)
     amp = 1.0 / math.sqrt(2 ** n_qubits)
     norm_sq = 2.0 ** n_qubits * amp * amp  # rounded once, by at most 2^-53 of it
     base = np.array([amp], dtype=complex)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm, prod
-from operator import mul
+from operator import index, mul
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -74,11 +74,13 @@ def primitive_vector(vec: Sequence) -> IntVector:
     return _coprime([f.numerator * (denom // f.denominator) for f in fracs])
 
 
-def _distinct_vectors(dimension: int, vectors: Iterable[Sequence[int]]) -> tuple[IntVector, ...]:
-    """Validate every vector, then drop repeats keeping first occurrences in order."""
-    if dimension < 1:
+def _distinct_vectors(owner, vectors: Iterable[Sequence[int]]) -> tuple[IntVector, ...]:
+    """Store `owner.dimension`, an integer of at least 1, as an `int`; validate every
+    vector, then drop repeats keeping first occurrences in order."""
+    if isinstance(d := owner.dimension, bool) or not isinstance(d, numbers.Integral) or d < 1:
         raise ValueError("dimension must be at least 1")
-    return tuple(dict.fromkeys(_as_int_vector(v, dimension) for v in vectors))
+    object.__setattr__(owner, "dimension", index(d))
+    return tuple(dict.fromkeys(_as_int_vector(v, owner.dimension) for v in vectors))
 
 
 @dataclass(frozen=True)
@@ -93,7 +95,7 @@ class Cone:
     generators: tuple[IntVector, ...]
 
     def __post_init__(self) -> None:
-        gens = _distinct_vectors(self.dimension, self.generators)
+        gens = _distinct_vectors(self, self.generators)
         object.__setattr__(self, "generators", tuple(v for v in gens if any(v)))
 
     @property
@@ -123,7 +125,7 @@ class Polytope:
     vertices: tuple[IntVector, ...]
 
     def __post_init__(self) -> None:
-        verts = _distinct_vectors(self.dimension, self.vertices)
+        verts = _distinct_vectors(self, self.vertices)
         if not verts:
             raise ValueError("a polytope needs at least one vertex")
         object.__setattr__(self, "vertices", verts)
@@ -138,7 +140,7 @@ class LaurentSupport:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "exponents",
-                           _distinct_vectors(self.dimension, self.exponents))
+                           _distinct_vectors(self, self.exponents))
 
 
 @dataclass(frozen=True)
@@ -177,10 +179,11 @@ class Fan:
     maximal_cones: tuple[Cone, ...]
 
     def __post_init__(self) -> None:
-        rays = tuple(_as_int_vector(r, self.dimension) for r in self.rays)
-        ray_set = set(rays)
-        if len(ray_set) != len(rays):
+        given = tuple(self.rays)
+        rays = _distinct_vectors(self, given)
+        if len(rays) != len(given):
             raise ValueError("rays must be distinct")
+        ray_set = set(rays)
         if (0,) * self.dimension in ray_set:
             raise ValueError("rays must be nonzero")
         seen: set[frozenset[IntVector]] = set()
@@ -323,9 +326,10 @@ def support_in_cone(support: LaurentSupport, cone: Cone) -> bool:
 # the (P^1)^n family
 
 
-def _check_factor_count(n: int) -> None:
+def _check_factor_count(n: int) -> int:
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or not 1 <= n <= MAX_FACTORS:
         raise ValueError(f"factor count must lie in 1..{MAX_FACTORS}")
+    return index(n)
 
 
 def _sign_patterns(n: int) -> np.ndarray:
@@ -354,7 +358,7 @@ def _product_rays(n: int) -> tuple[IntVector, ...]:
 
 def product_p1_charts(n: int) -> list[Chart]:
     """All 2^n affine charts of the n-fold product of projective lines."""
-    _check_factor_count(n)
+    n = _check_factor_count(n)
     return [_adopt(Chart, signs=signs) for signs in map(tuple, _sign_patterns(n).tolist())]
 
 
@@ -373,7 +377,7 @@ def product_p1_fan(n: int) -> Fan:
     Maximal cones are listed in the same order as `product_p1_charts`, so
     chart k and cone k share a sign pattern.
     """
-    _check_factor_count(n)
+    n = _check_factor_count(n)
     rays = _product_rays(n)
     # each cone holds the ray tuples themselves, one per axis; a product of
     # complete simplicial fans is complete and simplicial, so there is nothing
@@ -388,7 +392,7 @@ def product_p1_fan(n: int) -> Fan:
 
 def moment_polytope(n: int) -> Polytope:
     """Moment polytope of (P^1)^n: the unit n-cube with vertices {0,1}^n."""
-    _check_factor_count(n)
+    n = _check_factor_count(n)
     # 2^n distinct 0/1 rows: nothing for `Polytope` to check
     return _adopt(Polytope, dimension=n,
                   vertices=tuple(map(tuple, _cube_vertices(n).tolist())))
@@ -429,7 +433,7 @@ def _product_p1_blocks(n: int) -> Iterator[str]:
     a `chart <tokens>` line per chart, then the lines of
     `fan_to_text(product_p1_fan(n))` and of `polytope_to_text(moment_polytope(n))`
     after their headers."""
-    _check_factor_count(n)
+    n = _check_factor_count(n)
     signs = _sign_patterns(n)
     slots = vocabulary(f" z{k + 1}{inverse}" for k in range(n) for inverse in ("", "^-1"))
     return itertools.chain(

@@ -471,6 +471,30 @@ def test_out_of_memory_is_a_domain_error(argv, where, monkeypatch):
     assert invoke(argv) == (2, "", f"toricgate: error: out of memory in {where}\n")
 
 
+class _UnwritableStdout:
+    def write(self, text):
+        raise AssertionError("a handler wrote to stdout")
+
+    writelines = write
+
+
+@pytest.mark.parametrize("argv", [
+    ["gate", *GATE_ARGS],
+    ["apply", "--n", "3", *_PLACED, "--phi1", "0.3"],
+    ["concurrence", "--phi1", "0.3"],
+    ["partition", "--n", "4", "--control", "3", "--target", "1", "--check-hypercube"],
+    ["fan", "--n", "3"],
+    ["render", "--n", "4", *_PLACED, "--format", "dot", "--out"],
+], ids=lambda argv: argv[0])
+def test_handlers_return_their_stdout_and_main_writes_it(argv, tmp_path):
+    if argv[0] == "render":
+        argv = [*argv, str(tmp_path / "fig.dot")]
+    args = cli.build_parser().parse_args(argv)
+    with redirect_stdout(_UnwritableStdout()):
+        returned = "".join(args.handler(args))
+    assert invoke(argv) == (0, returned, "")
+
+
 def test_render_bad_format_is_usage_error(tmp_path):
     code, _, _ = invoke(["render", "--n", "2", "--control", "1", "--target", "2",
                          "--format", "png", "--out", str(tmp_path / "x.png")])

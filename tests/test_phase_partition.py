@@ -107,9 +107,17 @@ def test_partition_input_validation():
 def test_partition_takes_integer_counts_only(n):
     with pytest.raises(ValueError, match=r"^n_qubits must lie in 2\.\.24$"):
         partition_vertices(n, GatePlacement(1, 2))
-    # numpy integers are integers
-    assert partition_vertices(np.int64(3), GatePlacement(1, 2))._agree.tolist() == \
-        partition_vertices(3, GatePlacement(1, 2))._agree.tolist()
+
+
+@pytest.mark.parametrize("n", [np.int64(3), np.uint8(12), np.int16(16)], ids=repr)
+def test_partition_reads_numpy_counts_as_ints(n):
+    # numpy integers are integers, kept as ints: 1 << 12 overflows a uint8
+    partition, want = partition_vertices(n, GatePlacement(1, 2)), partition_vertices(
+        int(n), GatePlacement(1, 2))
+    assert type(partition.n_qubits) is int
+    assert repr(partition) == repr(want) == f"PhasePartition(n_qubits={n}, " \
+        "placement=GatePlacement(control=1, target=2))"
+    assert partition._agree.tolist() == want._agree.tolist()
 
 
 def test_class_sets_are_not_inputs():

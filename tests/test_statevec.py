@@ -49,9 +49,14 @@ def test_uniform_superposition_range():
 def test_uniform_superposition_takes_integer_counts_only(n):
     with pytest.raises(ValueError, match=r"^n_qubits must lie in 1\.\.24$"):
         uniform_superposition(n)
-    # numpy integers are integers
-    assert uniform_superposition(np.uint8(3)).amplitudes.tolist() == \
-        uniform_superposition(3).amplitudes.tolist()
+
+
+@pytest.mark.parametrize("n", [np.uint8(3), np.uint8(12), np.int16(16)], ids=repr)
+def test_uniform_superposition_reads_numpy_counts_as_ints(n):
+    # numpy integers are integers, computed with as ints: 2^12 overflows a uint8
+    state, want = uniform_superposition(n), uniform_superposition(int(n))
+    assert state.amplitudes.tolist() == want.amplitudes.tolist()
+    assert state._norm_range == want._norm_range
 
 
 def test_state_vector_validation():

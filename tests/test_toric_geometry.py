@@ -46,6 +46,17 @@ def test_cone_prunes_zero_and_duplicates():
     assert c.generators == ((1, 0), (0, 1))
 
 
+@pytest.mark.parametrize("dimension", [True, 2.0, 2.5, "2", None])
+@pytest.mark.parametrize("kind", [Cone, Polytope, LaurentSupport])
+def test_vector_sets_take_integer_dimensions_only(kind, dimension):
+    vectors = ((1,),) if dimension is True else ()
+    with pytest.raises(ValueError, match="^dimension must be at least 1$"):
+        kind(dimension, vectors)
+    # a numpy integer is kept as an int
+    built = kind(np.int16(2), ((1, 0),))
+    assert built == kind(2, ((1, 0),)) and type(built.dimension) is int
+
+
 def test_cone_rejects_non_integers():
     with pytest.raises(ValueError):
         Cone(2, ((1.0, 0), (0, 1)))
@@ -483,9 +494,16 @@ def test_factor_counts_are_integers(n):
     for build in (product_p1_charts, product_p1_fan, moment_polytope):
         with pytest.raises(ValueError, match=rf"^factor count must lie in 1\.\.{MAX_FACTORS}$"):
             build(n)
-    # numpy integers are integers
-    assert polytope_to_text(moment_polytope(np.int64(2))) == polytope_to_text(moment_polytope(2))
-    assert fan_to_text(product_p1_fan(np.int16(2))) == fan_to_text(product_p1_fan(2))
+
+
+@pytest.mark.parametrize("n", [np.int64(2), np.int16(2), np.uint8(9), np.int16(15)], ids=repr)
+def test_factor_counts_read_numpy_integers_as_ints(n):
+    # numpy integers are integers, kept as ints: 1 << 9 overflows a uint8
+    for build in (product_p1_charts, product_p1_fan, moment_polytope):
+        assert build(n) == build(int(n))
+    assert type(product_p1_fan(n).dimension) is type(moment_polytope(n).dimension) is int
+    assert list(toric_geometry._product_p1_blocks(n)) == \
+        list(toric_geometry._product_p1_blocks(int(n)))
 
 
 def test_polytope_validation():
@@ -643,6 +661,10 @@ FAN_REJECTIONS = {
                         "lattice coordinates must be exact integers"),
     "float coordinate": (2, ((1.0, 0), (0, 1)), [],
                          "lattice coordinates must be exact integers"),
+    "bool dimension": (True, ((1,), (-1,)), [], "dimension must be at least 1"),
+    "float dimension": (2.5, (), [], "dimension must be at least 1"),
+    "zero dimension": (0, (), [], "dimension must be at least 1"),
+    "negative dimension": (-2, (), [], "dimension must be at least 1"),
     "short ray": (2, ((1, 0), (1,)), [], "expected a vector of length 2"),
     "opposite axis rays": (2, _SQUARE, [((1, 0), (-1, 0))],
                            "maximal cones must be simplicial"),
@@ -679,7 +701,8 @@ def test_fan_accepts_independent_non_axis_rays():
                 (Cone(3, ((1, 0, 0), (1, 1, 0), (0, 0, -1))),
                  Cone(3, ((1, 1, 0), (0, 1, 0), (0, 0, -1)))))
     assert len(mixed.maximal_cones) == 2
-    assert Fan(0, (), ()).maximal_cones == ()
+    # a numpy integer dimension is kept as an int
+    assert type(Fan(np.int16(1), ((1,), (-1,)), ()).dimension) is int
 
 
 def test_dual_cone_matches_rational_oracle_on_biduality_cases():
