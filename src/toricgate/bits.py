@@ -3,11 +3,11 @@
 A basis index x encodes the string x1 x2 ... xn with qubit 1 as the most
 significant bit, so |x1 x2 ... xn> sits at index sum_k x_k * 2^(n-k). The
 simulator, the partitions, the renderers and the moment polytope read it only
-through `qubit_mask`, `bit_at`, `pair_view`, `cube_edge_moves` and the bit-string
-codecs (`bitstring`/`label_fields` and `index_of`/`indices_of`). The partitions
-count crossings and class edges on an agreement mask written through `pair_view`,
-with no edge list; only the renderers walk the cube's edges, each a low end and
-the bit it sets, through the one enumerator `cube_edge_moves`.
+through `qubit_mask`, `bit_at`, `cube_edge_moves` and the bit-string codecs
+(`bitstring`/`label_fields` and `index_of`/`indices_of`). The gate and the
+partitions test bit agreement with one kernel, `statevec._agreement`; only the
+renderers walk the cube's edges, each a low end and the bit it sets, through
+the one enumerator `cube_edge_moves`.
 
 Texts are written in blocks of up to `_TEXT_BLOCK` lines, which the CLI
 writes as they come. Every text is formatted by `table_text`: integer tables
@@ -59,17 +59,6 @@ def qubit_mask(qubit: int, n_qubits: int) -> int:
 def bit_at(index: int | np.ndarray, qubit: int, n_qubits: int) -> int | np.ndarray:
     """Bit of `qubit` in an n-qubit basis index, or elementwise in an index array."""
     return (index >> (n_qubits - qubit)) & 1
-
-
-def pair_view(array: np.ndarray, qubit_a: int, qubit_b: int) -> np.ndarray:
-    """A length-2^n array seen as (2^(a-1), 2, 2^(b-a-1), 2, 2^(n-b)), a < b the sorted pair.
-
-    `view[:, i, :, j, :]` holds the indices whose bits of qubits a and b read
-    i and j; a 2x2 table reshaped to (1, 2, 1, 2, 1) broadcasts against it.
-    """
-    a, b = sorted((qubit_a, qubit_b))
-    n = array.size.bit_length() - 1
-    return array.reshape(1 << (a - 1), 2, 1 << (b - a - 1), 2, 1 << (n - b))
 
 
 def cube_edge_moves(n: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:

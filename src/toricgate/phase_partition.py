@@ -18,8 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .bits import _adopt, label_fields, pair_view, qubit_mask, row_blocks, table_text
-from .statevec import GatePlacement, _check_placement, _check_qubit_count
+from .bits import _adopt, label_fields, qubit_mask, row_blocks, table_text
+from .statevec import _BLOCK, GatePlacement, _agreement, _check_placement, _check_qubit_count
 
 # class graphs hold (n-1)*2^(n-2) edge tuples: `class_graph`, `is_connected` and
 # `is_hypercube_isomorphic` of one class peak at 501 MiB at n = 19, 1021 MiB at 20
@@ -35,15 +35,19 @@ class PhasePartition:
     fields: `class_phi1` holds the indices whose control and target bits agree
     and `class_phi2` the rest. The agreement mask is kept as the read-only
     `_agree`, the one source the counts, texts and drawings are made from;
-    each class set is built from it the first time it is read.
+    each class set is built from it the first time it is read. The mask is
+    expanded from `statevec._agreement`, the one kernel the gate reads too.
     """
 
     n_qubits: int
     placement: GatePlacement
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_qubits", _check_qubit_count(self.n_qubits))
-        object.__setattr__(self, "_agree", _agreement_mask(self.n_qubits, self.placement))
+        n = _check_qubit_count(self.n_qubits)
+        within, firsts = _agreement(self.placement, n, min(_BLOCK, 1 << n))
+        agree = (firsts[:, None] == within).ravel()
+        agree.flags.writeable = False
+        self.__dict__.update(n_qubits=n, _agree=agree)  # frozen: set as `_adopt` sets fields
 
     @cached_property
     def class_phi1(self) -> frozenset[int]:
@@ -73,6 +77,8 @@ class ClassGraph:
 
     def __post_init__(self) -> None:
         _check_graph_qubits(self.n_qubits)
+        object.__setattr__(self, "n_qubits", _check_qubit_count(self.n_qubits))
+        _check_placement(self.placement, self.n_qubits)
         if self.phase_class not in ("phi1", "phi2"):
             raise ValueError("phase_class must be 'phi1' or 'phi2'")
         verts = np.sort(np.array(self.vertices, dtype=np.int64))
@@ -128,16 +134,6 @@ def _check_graph_qubits(n_qubits: int) -> None:
     if n_qubits > MAX_GRAPH_QUBITS:
         raise ValueError(f"n_qubits {n_qubits}: class graphs are capped at "
                          f"{MAX_GRAPH_QUBITS} qubits")
-
-
-def _agreement_mask(n_qubits: int, placement: GatePlacement) -> np.ndarray:
-    """Read-only boolean array over the 2^n indices: control and target bits agree."""
-    _check_placement(placement, n_qubits)
-    agree = np.zeros(1 << n_qubits, dtype=bool)
-    view = pair_view(agree, placement.control, placement.target)
-    view[:, 0, :, 0, :] = view[:, 1, :, 1, :] = True
-    agree.flags.writeable = False
-    return agree
 
 
 def partition_vertices(n_qubits: int, placement: GatePlacement) -> PhasePartition:

@@ -6,7 +6,8 @@ superposition is one amplitude broadcast with stride 0, so a gate on it reads
 one cached value and writes only its output. A diagonal (a, b, b, a) gate
 placed on any control/target pair multiplies each amplitude by `a` where the
 two bits agree and by `b` where they differ, which is why the placement is
-symmetric under swapping control and target.
+symmetric under swapping control and target. The phase classes of
+`phase_partition` read that test from the same kernel as the gate, `_agreement`.
 
 `apply_cphase` reads the state once, `_BLOCK` amplitudes at a time. Unless the bounds a state
 keeps on its exact |psi|^2 prove the output normalized, it sums each block's |amp|^2 in cache.
@@ -129,6 +130,16 @@ def _check_placement(placement: GatePlacement, n_qubits: int) -> None:
             f"placement {placement} is out of range for {n_qubits} qubits")
 
 
+def _agreement(placement: GatePlacement, n_qubits: int, block: int) -> tuple[np.ndarray, ...]:
+    """The one test of the gate and the phase classes: whether the placed bits agree at each
+    offset of a block of `block` indices (a power of two up to 2^n), and at each block's
+    first index. The two share no bit, so index s + o agrees where the answers are equal."""
+    _check_placement(placement, n_qubits)
+    n, c, t = n_qubits, placement.control, placement.target
+    return tuple(bit_at(at, c, n) == bit_at(at, t, n)
+                 for at in (np.arange(block), np.arange(0, 1 << n, block)))
+
+
 def apply_cphase(state: StateVector, gate: DiagonalTwoQubitGate,
                  placement: GatePlacement) -> StateVector:
     """Apply a diagonal (a, b, b, a) gate on the given control/target pair.
@@ -139,20 +150,18 @@ def apply_cphase(state: StateVector, gate: DiagonalTwoQubitGate,
     when the output's bounds leave _NORM_TOL / 2 of 1. As that sum errs by under 4e-12,
     a skipped pass would have accepted too: every outcome is that of a pass on every gate.
     """
-    _check_placement(placement, state.n_qubits)
-    amps, n, c, t = state.amplitudes, state.n_qubits, placement.control, placement.target
+    amps = state.amplitudes
     block = min(_BLOCK, max(amps.size >> 4, 1))  # the factors stay within 1/8 of the state
-    agree = bit_at(np.arange(block), c, n) == bit_at(np.arange(block), t, n)
+    within, firsts = _agreement(placement, state.n_qubits, block)
     eq, ne = gate.equal_bits_factor, gate.unequal_bits_factor
-    factors = np.where(agree, eq, ne), np.where(agree, ne, eq)  # bits above a block agree, differ
+    factors = np.where(within, eq, ne), np.where(within, ne, eq)  # a block's first bits agree, differ
     (lo, hi), scales = state._norm_range, (abs(eq) ** 2, abs(ne) ** 2)
     lo, hi = lo * min(scales) * (1 - _GATE_SLACK), hi * max(scales) * (1 + _GATE_SLACK)
     summed = not 1 - _NORM_TOL / 2 <= lo <= hi <= 1 + _NORM_TOL / 2  # fails closed on NaN
     out, norm_sq = np.empty_like(amps) if amps.size < _SPARE_MIN else _spare(amps), 0.0
-    for start in range(0, amps.size, block):
+    for start, same in zip(range(0, amps.size, block), firsts.tolist()):
         part = out[start:start + block]  # amplitudes first: with FMA the order sets the last bit
-        np.multiply(amps[start:start + block], factors[bit_at(start, c, n) ^ bit_at(start, t, n)],
-                    out=part)
+        np.multiply(amps[start:start + block], factors[not same], out=part)
         norm_sq += np.vdot(part, part).real if summed else 0.0
     lo, hi = _bounds(norm_sq, block + amps.size // block) if summed else (lo, hi)
     return StateVector(out, _owned=True, _norm_sq=norm_sq if summed else hi, _norm_range=(lo, hi))

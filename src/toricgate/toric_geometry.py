@@ -157,9 +157,10 @@ class Chart:
         signs = tuple(self.signs)
         if not signs:
             raise ValueError("a chart needs at least one factor")
-        if any(s not in (1, -1) for s in signs):
+        if any(isinstance(s, bool) or not isinstance(s, numbers.Integral) or s not in (1, -1)
+               for s in signs):
             raise ValueError("chart signs must be +1 or -1")
-        object.__setattr__(self, "signs", signs)
+        object.__setattr__(self, "signs", tuple(map(index, signs)))
 
     def tokens(self) -> tuple[str, ...]:
         """Coordinate tokens, e.g. ('z1', 'z2^-1')."""

@@ -1,4 +1,3 @@
-import itertools
 import math
 import subprocess
 import sys
@@ -12,8 +11,8 @@ from hypothesis import strategies as st
 from helpers import decade_row, hypercube_edges, power_of_ten_row
 from toricgate import bits
 from toricgate.bits import (_TEXT_BLOCK, _decimal_digits, _decimal_values, _float_values,
-                            bit_at, bitstring, cube_edge_moves, float_tokens, index_of, indices_of, label_fields, pair_view,
-                            qubit_mask, row_blocks, table_text)
+                            bit_at, bitstring, cube_edge_moves, float_tokens, index_of, indices_of,
+                            label_fields, qubit_mask, row_blocks, table_text)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 9, 10, 13, 14])
@@ -38,21 +37,6 @@ def test_qubit_mask_and_bit_at_follow_the_string_order():
             want = [int(bitstring(x, n)[q - 1]) for x in range(2 ** n)]
             assert bit_at(index, q, n).tolist() == want
             assert [bit_at(x, q, n) for x in range(2 ** n)] == want
-
-
-def test_pair_view_slices_by_the_two_bits():
-    for n in range(2, 8):
-        index = np.arange(2 ** n)
-        for a, b in itertools.permutations(range(1, n + 1), 2):
-            view = pair_view(index, a, b)
-            assert np.shares_memory(view, index)
-            for i, j in itertools.product((0, 1), repeat=2):
-                # i is the bit of the lower-numbered qubit, j of the higher
-                lo, hi = sorted((a, b))
-                want = [x for x in range(2 ** n)
-                        if bitstring(x, n)[lo - 1] == str(i)
-                        and bitstring(x, n)[hi - 1] == str(j)]
-                assert view[:, i, :, j, :].ravel().tolist() == want
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)

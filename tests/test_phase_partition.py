@@ -228,6 +228,22 @@ def test_class_graphs_are_capped_before_anything_is_built():
     assert is_connected(unchecked)
 
 
+def test_hand_built_class_graph_checks_its_count_and_placement():
+    # a numpy count is kept as an int, so the diagonal and the Q_(n-1) check
+    # read the same graph as the built one; a float count and a placement past
+    # n are refused with the library's own messages
+    graph = class_graph(partition_vertices(9, GatePlacement(1, 2)), "phi1")
+    built = ClassGraph(np.uint8(9), GatePlacement(1, 2), "phi1", graph.vertices, graph.edges)
+    assert type(built.n_qubits) is int and built == graph
+    assert built.diagonal_mask() == graph.diagonal_mask() == 384
+    assert built.diagonal_edges() == graph.diagonal_edges() and len(built.diagonal_edges()) == 128
+    assert is_hypercube_isomorphic(built).is_isomorphic
+    with pytest.raises(ValueError, match=r"^n_qubits must lie in 2\.\.24$"):
+        ClassGraph(3.0, GatePlacement(1, 2), "phi1", (0, 1, 6, 7), ())
+    with pytest.raises(ValueError, match="is out of range for 3 qubits$"):
+        ClassGraph(3, GatePlacement(1, 5), "phi1", (0, 1, 6, 7), ())
+
+
 def test_class_graph_is_the_hand_built_graph_of_its_fields():
     # class_graph hands its arrays over without the checks of a hand-built
     # graph: they must be what those checks make of the same fields

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import random
 import re
@@ -264,6 +265,24 @@ def test_apply_matches_reference_across_blocks(monkeypatch, block, n):
                 want = reference_cphase(s.amplitudes, n, control, target,
                                         gate.equal_bits_factor, gate.unequal_bits_factor)
                 assert np.array_equal(out.amplitudes, want)
+
+
+def test_agreement_kernel_expands_to_the_xnor_classes():
+    # the one kernel behind the gate's factors and the phase classes: at every
+    # block size, index s + o agrees where its block's answer equals its offset's
+    for n in range(2, 13):
+        for control, target in itertools.permutations(range(1, n + 1), 2):
+            placement = GatePlacement(control, target)
+            want = np.zeros(2 ** n, bool)
+            want[list(xnor_class(n, control, target, True))] = True
+            for block in (2 ** k for k in range(n + 1)):
+                within, firsts = statevec._agreement(placement, n, block)
+                assert within.shape == (block,) and firsts.shape == (2 ** n // block,)
+                assert np.array_equal((firsts[:, None] == within).ravel(), want)
+        for placement in (GatePlacement(1, n + 1), GatePlacement(n + 1, 1)):
+            message = f"^placement {re.escape(str(placement))} is out of range for {n} qubits$"
+            with pytest.raises(ValueError, match=message):
+                statevec._agreement(placement, n, 1)
 
 
 def test_apply_norm_summed_by_blocks_matches_vdot(monkeypatch):

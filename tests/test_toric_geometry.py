@@ -430,6 +430,23 @@ def test_chart_validation():
         product_p1_charts(17)
 
 
+@pytest.mark.parametrize("sign", [True, False, 1.0, -1.0, Fraction(1), np.float64(-1), "1", None],
+                         ids=["True", "False", "1.0", "-1.0", "Fraction", "float64", "str", "None"])
+def test_chart_signs_are_integers_not_bools(sign):
+    with pytest.raises(ValueError, match="^chart signs must be \\+1 or -1$"):
+        Chart((sign, -1))
+    with pytest.raises(ValueError, match="^chart signs must be \\+1 or -1$"):
+        orthant_cone((1, sign))
+
+
+def test_chart_signs_read_numpy_integers_as_ints():
+    for signs in ((np.int8(1), -1), (1, np.int64(-1)), (np.uint8(1), np.int16(-1))):
+        chart = Chart(signs)
+        assert chart == Chart(tuple(map(int, signs)))
+        assert all(type(s) is int for s in chart.signs)
+        assert orthant_cone(signs) == orthant_cone(tuple(map(int, signs)))
+
+
 def test_fan_structure():
     for n in (1, 2, 3):
         fan = product_p1_fan(n)
