@@ -7,7 +7,7 @@ through `qubit_mask`, `bit_at`, `cube_edge_moves` and the bit-string codecs
 (`bitstring`/`label_fields` and `index_of`/`indices_of`). The gate and the
 partitions test bit agreement with one kernel, `statevec._agreement`; only the
 renderers walk the cube's edges, each a low end and the bit it sets, through
-the one enumerator `cube_edge_moves`.
+the one enumerator `cube_edge_moves`. `_integer` checks every integer input.
 
 Texts are written in blocks of up to `_TEXT_BLOCK` lines, which the CLI
 writes as they come. Every text is formatted by `table_text`: integer tables
@@ -34,6 +34,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
+import operator
 from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -49,6 +51,14 @@ def _adopt(cls, **fields):
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
+
+
+def _integer(x, message: str, low: float = -math.inf, high: float = math.inf) -> int:
+    """A count, slot, sign, dimension or coordinate `x` as an `int`: any integer but a bool,
+    numpy integers included, from `low` to `high`. Anything else raises `ValueError(message)`."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral) or not low <= x <= high:
+        raise ValueError(message)
+    return operator.index(x)
 
 
 def qubit_mask(qubit: int, n_qubits: int) -> int:

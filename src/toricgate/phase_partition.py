@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bits import _adopt, label_fields, qubit_mask, row_blocks, table_text
+from .bits import MAX_QUBITS, _adopt, _integer, label_fields, qubit_mask, row_blocks, table_text
 from .statevec import _BLOCK, GatePlacement, _agreement, _check_placement, _check_qubit_count
 
 # class graphs hold (n-1)*2^(n-2) edge tuples: `class_graph`, `is_connected` and
@@ -76,8 +76,7 @@ class ClassGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        _check_graph_qubits(self.n_qubits)
-        object.__setattr__(self, "n_qubits", _check_qubit_count(self.n_qubits))
+        object.__setattr__(self, "n_qubits", _check_graph_qubits(self.n_qubits))
         _check_placement(self.placement, self.n_qubits)
         if self.phase_class not in ("phi1", "phi2"):
             raise ValueError("phase_class must be 'phi1' or 'phi2'")
@@ -130,10 +129,11 @@ class IntersectionSummary:
     ambient_edges: int
 
 
-def _check_graph_qubits(n_qubits: int) -> None:
-    if n_qubits > MAX_GRAPH_QUBITS:
-        raise ValueError(f"n_qubits {n_qubits}: class graphs are capped at "
-                         f"{MAX_GRAPH_QUBITS} qubits")
+def _check_graph_qubits(n_qubits: int) -> int:
+    """A class graph's qubit count as an `int`, from 2 to `MAX_GRAPH_QUBITS`."""
+    if (n := _integer(n_qubits, f"n_qubits must lie in 2..{MAX_QUBITS}", 2)) > MAX_GRAPH_QUBITS:
+        raise ValueError(f"n_qubits {n}: class graphs are capped at {MAX_GRAPH_QUBITS} qubits")
+    return n
 
 
 def partition_vertices(n_qubits: int, placement: GatePlacement) -> PhasePartition:

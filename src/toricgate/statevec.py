@@ -22,8 +22,6 @@ from __future__ import annotations
 import codecs
 import itertools
 import math
-import numbers
-import operator
 import re
 import sys
 import threading
@@ -32,8 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import (_PAD, _TEXT_BLOCK, MAX_QUBITS, _bit_strings, _float_values, _line_blocks,
-                   _tokens, bit_at, bitstring, float_tokens, label_fields, row_blocks, table_text)
+from .bits import (_PAD, _TEXT_BLOCK, MAX_QUBITS, _bit_strings, _float_values, _integer,
+                   _line_blocks, _tokens, bit_at, bitstring, float_tokens, label_fields,
+                   row_blocks, table_text)
 from .spin_model import DiagonalTwoQubitGate
 
 _NORM_TOL = 1e-9
@@ -58,9 +57,8 @@ class GatePlacement:
     def __post_init__(self) -> None:
         for name in ("control", "target"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"qubit slots must be integers, got {name}={value!r}")
-            object.__setattr__(self, name, operator.index(value))
+            object.__setattr__(self, name, _integer(
+                value, f"qubit slots must be integers, got {name}={value!r}"))
         if self.control < 1 or self.target < 1:
             raise ValueError("qubit slots are 1-based")
         if self.control == self.target:
@@ -104,12 +102,8 @@ def _bounds(norm_sq: float, terms: int) -> tuple[float, float]:
 
 
 def _check_qubit_count(n_qubits: int, least: int = 2) -> int:
-    """An integer, not a bool, from `least` (2 for a gate, 1 for a state) to MAX_QUBITS,
-    returned as an `int`."""
-    if (isinstance(n_qubits, bool) or not isinstance(n_qubits, numbers.Integral)
-            or not least <= n_qubits <= MAX_QUBITS):
-        raise ValueError(f"n_qubits must lie in {least}..{MAX_QUBITS}")
-    return operator.index(n_qubits)
+    """An integer, not a bool, from `least` (2 for a gate, 1 for a state) to MAX_QUBITS."""
+    return _integer(n_qubits, f"n_qubits must lie in {least}..{MAX_QUBITS}", least, MAX_QUBITS)
 
 
 def uniform_superposition(n_qubits: int) -> StateVector:
@@ -125,6 +119,8 @@ def uniform_superposition(n_qubits: int) -> StateVector:
 
 
 def _check_placement(placement: GatePlacement, n_qubits: int) -> None:
+    if not isinstance(placement, GatePlacement):
+        raise ValueError(f"placement must be a GatePlacement, got {placement!r}")
     if placement.control > n_qubits or placement.target > n_qubits:
         raise ValueError(
             f"placement {placement} is out of range for {n_qubits} qubits")
@@ -343,10 +339,8 @@ class _StateReader:
         header = _HEADER.match(first)
         if header is None:
             raise ValueError(f"expected 'n=<int>' header, got {first!r}")
-        n = int(header.group(1))
-        if not 1 <= n <= MAX_QUBITS:
-            raise ValueError(f"qubit count must lie in 1..{MAX_QUBITS}")
-        self.n = n
+        n = self.n = _integer(int(header.group(1)), f"qubit count must lie in 1..{MAX_QUBITS}",
+                              1, MAX_QUBITS)
         self.amps = np.empty(1 << n, dtype=complex)
         self.counts = np.zeros(1 << n, dtype=np.uint32)
 

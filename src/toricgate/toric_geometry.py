@@ -20,18 +20,17 @@ moment polytope and dual cones) is adopted as built, not checked again.
 from __future__ import annotations
 
 import itertools
-import numbers
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm, prod
-from operator import index, mul
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .bits import _adopt, bit_at, row_blocks, table_text, vocabulary
+from .bits import _adopt, _integer, bit_at, row_blocks, table_text, vocabulary
 
 MAX_FACTORS = 16
 
@@ -50,10 +49,9 @@ def _as_int_vector(vec: Sequence[int], dimension: int) -> IntVector:
     v = tuple(vec)
     if len(v) != dimension:
         raise ValueError(f"expected a vector of length {dimension}, got {v!r}")
-    for coord in v:
-        if isinstance(coord, bool) or not isinstance(coord, int):
-            raise ValueError(f"lattice coordinates must be exact integers, got {coord!r}")
-    return v
+    if all(type(c) is int for c in v):  # the common case: `_integer` returns these as they are
+        return v
+    return tuple(_integer(c, f"lattice coordinates must be exact integers, got {c!r}") for c in v)
 
 
 def _coprime(ints: Sequence[int]) -> IntVector:
@@ -77,10 +75,9 @@ def primitive_vector(vec: Sequence) -> IntVector:
 def _distinct_vectors(owner, vectors: Iterable[Sequence[int]]) -> tuple[IntVector, ...]:
     """Store `owner.dimension`, an integer of at least 1, as an `int`; validate every
     vector, then drop repeats keeping first occurrences in order."""
-    if isinstance(d := owner.dimension, bool) or not isinstance(d, numbers.Integral) or d < 1:
-        raise ValueError("dimension must be at least 1")
-    object.__setattr__(owner, "dimension", index(d))
-    return tuple(dict.fromkeys(_as_int_vector(v, owner.dimension) for v in vectors))
+    d = _integer(owner.dimension, "dimension must be at least 1", 1)
+    object.__setattr__(owner, "dimension", d)
+    return tuple(dict.fromkeys(_as_int_vector(v, d) for v in vectors))
 
 
 @dataclass(frozen=True)
@@ -154,13 +151,13 @@ class Chart:
     signs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        signs = tuple(self.signs)
+        message = "chart signs must be +1 or -1"
+        signs = tuple(_integer(s, message, -1, 1) for s in self.signs)
         if not signs:
             raise ValueError("a chart needs at least one factor")
-        if any(isinstance(s, bool) or not isinstance(s, numbers.Integral) or s not in (1, -1)
-               for s in signs):
-            raise ValueError("chart signs must be +1 or -1")
-        object.__setattr__(self, "signs", tuple(map(index, signs)))
+        if 0 in signs:
+            raise ValueError(message)
+        object.__setattr__(self, "signs", signs)
 
     def tokens(self) -> tuple[str, ...]:
         """Coordinate tokens, e.g. ('z1', 'z2^-1')."""
@@ -328,9 +325,7 @@ def support_in_cone(support: LaurentSupport, cone: Cone) -> bool:
 
 
 def _check_factor_count(n: int) -> int:
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or not 1 <= n <= MAX_FACTORS:
-        raise ValueError(f"factor count must lie in 1..{MAX_FACTORS}")
-    return index(n)
+    return _integer(n, f"factor count must lie in 1..{MAX_FACTORS}", 1, MAX_FACTORS)
 
 
 def _sign_patterns(n: int) -> np.ndarray:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import decade_row, hypercube_edges, power_of_ten_row
+from integer_sites import REFUSED, SITES, accepts, refuses
 from toricgate import bits
 from toricgate.bits import (_TEXT_BLOCK, _decimal_digits, _decimal_values, _float_values,
                             bit_at, bitstring, cube_edge_moves, float_tokens, index_of, indices_of,
@@ -292,3 +293,15 @@ def test_float_values_take_floats_grammar_without_underscores(token):
     if want is not None:
         assert np.float64(want).view(np.uint64) == values.view(np.uint64)[0] or (
             math.isnan(want) and math.isnan(values[0]))
+
+
+@pytest.mark.parametrize("site, value", [(site, value) for site, (_, _, taken) in SITES.items()
+                                         for value in (*REFUSED, *taken)], ids=repr)
+def test_every_integer_site_shares_one_check(site, value):
+    # `bits._integer` behind every count, slot, sign, dimension and coordinate:
+    # a bool or a non-integer is refused with the site's message, and a numpy
+    # integer is read as the int it equals
+    if isinstance(value, np.integer):
+        accepts(site, value)
+    else:
+        refuses(site, value)

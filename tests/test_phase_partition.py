@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from helpers import (bfs_connected, cube_match_oracle, hypercube_edges, reference_partition_text,
                      xnor_class)
+from integer_sites import refuses
 from toricgate.bits import bitstring
 from toricgate.phase_partition import (MAX_GRAPH_QUBITS, ClassGraph, PhasePartition,
                                        _class_arrays, _hypercube_failure, class_graph,
@@ -105,8 +106,22 @@ def test_partition_input_validation():
 
 @pytest.mark.parametrize("n", [True, 3.0, 2.5, "3", None])
 def test_partition_takes_integer_counts_only(n):
-    with pytest.raises(ValueError, match=r"^n_qubits must lie in 2\.\.24$"):
-        partition_vertices(n, GatePlacement(1, 2))
+    refuses("partition_vertices", n)
+
+
+@pytest.mark.parametrize("enter", [
+    lambda placement: partition_vertices(3, placement),
+    lambda placement: PhasePartition(3, placement),
+    lambda placement: apply_cphase(uniform_superposition(3), DiagonalTwoQubitGate.from_phi1(0.1),
+                                   placement),
+    lambda placement: ClassGraph(3, placement, "phi1", (0, 1, 6, 7), ())],
+    ids=["partition_vertices", "PhasePartition", "apply_cphase", "ClassGraph"])
+def test_placements_must_be_gate_placements(enter):
+    # the one check of `statevec._agreement` and `ClassGraph`: no AttributeError
+    for placement in ((1, 2), [1, 2], "12", None):
+        with pytest.raises(ValueError) as info:
+            enter(placement)
+        assert str(info.value) == f"placement must be a GatePlacement, got {placement!r}"
 
 
 @pytest.mark.parametrize("n", [np.int64(3), np.uint8(12), np.int16(16)], ids=repr)

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import cone_oracle, rational_rref, reference_fan_text, reference_polytope_text
+from integer_sites import accepts, refuses
 from toricgate import toric_geometry
 from toricgate.toric_geometry import (MAX_FACTORS, Chart, Cone, Fan, LaurentSupport,
                                       NonSimplicialCone, NotFullDimensional,
@@ -49,17 +50,12 @@ def test_cone_prunes_zero_and_duplicates():
 @pytest.mark.parametrize("dimension", [True, 2.0, 2.5, "2", None])
 @pytest.mark.parametrize("kind", [Cone, Polytope, LaurentSupport])
 def test_vector_sets_take_integer_dimensions_only(kind, dimension):
-    vectors = ((1,),) if dimension is True else ()
-    with pytest.raises(ValueError, match="^dimension must be at least 1$"):
-        kind(dimension, vectors)
-    # a numpy integer is kept as an int
-    built = kind(np.int16(2), ((1, 0),))
-    assert built == kind(2, ((1, 0),)) and type(built.dimension) is int
+    refuses(f"{kind.__name__} dimension", dimension)
+    accepts(f"{kind.__name__} dimension", np.int16(2))
 
 
 def test_cone_rejects_non_integers():
-    with pytest.raises(ValueError):
-        Cone(2, ((1.0, 0), (0, 1)))
+    refuses("Cone", 1.0)
     with pytest.raises(ValueError):
         Cone(2, ((1, 0, 0),))
 
@@ -433,10 +429,8 @@ def test_chart_validation():
 @pytest.mark.parametrize("sign", [True, False, 1.0, -1.0, Fraction(1), np.float64(-1), "1", None],
                          ids=["True", "False", "1.0", "-1.0", "Fraction", "float64", "str", "None"])
 def test_chart_signs_are_integers_not_bools(sign):
-    with pytest.raises(ValueError, match="^chart signs must be \\+1 or -1$"):
-        Chart((sign, -1))
-    with pytest.raises(ValueError, match="^chart signs must be \\+1 or -1$"):
-        orthant_cone((1, sign))
+    refuses("Chart", sign)
+    refuses("orthant_cone", sign)
 
 
 def test_chart_signs_read_numpy_integers_as_ints():
@@ -508,9 +502,8 @@ def test_moment_polytope():
 
 @pytest.mark.parametrize("n", [True, 2.0, 2.5, "2", None])
 def test_factor_counts_are_integers(n):
-    for build in (product_p1_charts, product_p1_fan, moment_polytope):
-        with pytest.raises(ValueError, match=rf"^factor count must lie in 1\.\.{MAX_FACTORS}$"):
-            build(n)
+    for site in ("product_p1_charts", "product_p1_fan", "moment_polytope"):
+        refuses(site, n)
 
 
 @pytest.mark.parametrize("n", [np.int64(2), np.int16(2), np.uint8(9), np.int16(15)], ids=repr)
