@@ -67,8 +67,9 @@ def qubit_mask(qubit: int, n_qubits: int) -> int:
 
 
 def bit_at(index: int | np.ndarray, qubit: int, n_qubits: int) -> int | np.ndarray:
-    """Bit of `qubit` in an n-qubit basis index, or elementwise in an index array."""
-    return (index >> (n_qubits - qubit)) & 1
+    """Bit of `qubit` (a slot from 1 to n) in an n-qubit basis index, or in each of an array's."""
+    slot = _integer(qubit, f"qubit slot must lie in 1..{n_qubits}, got {qubit!r}", 1, n_qubits)
+    return (index >> (n_qubits - slot)) & 1
 
 
 def cube_edge_moves(n: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -82,8 +83,9 @@ def cube_edge_moves(n: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray
 
 
 def bitstring(index: int, n_qubits: int) -> str:
-    """Basis index rendered as its n-character bit string."""
-    return format(index, f"0{n_qubits}b")
+    """Basis index, an integer (not a bool) from 0 to 2^n - 1, as its n-character bit string."""
+    return format(_integer(index, f"basis index {index!r} is out of range for {n_qubits} qubits",
+                           0, (1 << n_qubits) - 1), f"0{n_qubits}b")
 
 
 def vocabulary(tokens: Iterable[str]) -> np.ndarray:

@@ -65,11 +65,13 @@ def primitive_vector(vec: Sequence) -> IntVector:
 
     The direction is preserved: no sign normalization is applied.
     """
+    if any(isinstance(c, bool) for c in vec):
+        raise ValueError(f"coordinates must be rational numbers, not bools, got {vec!r}")
     fracs = [Fraction(c) for c in vec]
     if all(f == 0 for f in fracs):
         raise ValueError("the zero vector has no primitive form")
-    denom = lcm(*(f.denominator for f in fracs))
-    return _coprime([f.numerator * (denom // f.denominator) for f in fracs])
+    denom = lcm(*(int(f.denominator) for f in fracs))  # a numpy integer keeps its type in both
+    return _coprime([int(f.numerator) * (denom // int(f.denominator)) for f in fracs])
 
 
 def _distinct_vectors(owner, vectors: Iterable[Sequence[int]]) -> tuple[IntVector, ...]:
@@ -339,7 +341,7 @@ def _sign_patterns(n: int) -> np.ndarray:
 
 def _cube_vertices(n: int) -> np.ndarray:
     """The (2^n, n) 0/1 table of the n-cube's vertices in index order, qubit 1 first."""
-    return bit_at(np.arange(1 << n)[:, None], np.arange(1, n + 1), n)
+    return np.column_stack([bit_at(np.arange(1 << n), q, n) for q in range(1, n + 1)])
 
 
 def _ray_indices(signs: np.ndarray) -> np.ndarray:

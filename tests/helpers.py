@@ -45,6 +45,26 @@ def random_state(rng, n):
     return amps / np.linalg.norm(amps)
 
 
+def reference_phase_classes(state, tolerance=1e-9):
+    """The phase classes as a greedy scan finds them: indices in ascending order, each
+    joining the first class whose first member's amplitude lies within `tolerance`
+    (Python's `abs`), amplitudes within `tolerance` of zero left out."""
+    members: list[list[int]] = []
+    reps: list[complex] = []
+    for index, amp in enumerate(state.amplitudes):
+        value = complex(amp)
+        if abs(value) <= tolerance:
+            continue
+        for k, rep in enumerate(reps):
+            if abs(value - rep) <= tolerance:
+                members[k].append(index)
+                break
+        else:
+            members.append([index])
+            reps.append(value)
+    return [frozenset(group) for group in members]
+
+
 def exact_norm_sq(amps):
     """The exact sum of |amp|^2 over complex doubles, as a Fraction: each part
     is p / 2^k, so the squares are summed as integers over the largest 4^k."""

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (dense_cphase_matrix, exact_norm_sq, random_state, reference_cphase,
-                     xnor_class)
+                     reference_phase_classes, xnor_class)
 from integer_sites import refuses
 from toricgate import statevec
 from toricgate.spin_model import DiagonalTwoQubitGate
@@ -563,13 +563,73 @@ def test_extract_phase_classes_skips_zeros():
 
 
 def test_extract_phase_classes_tolerance_validation():
-    # NaN matches nothing (one class per index) and inf matches every
-    # amplitude as zero (no class at all), so both are refused
+    # NaN matches nothing (one class per index), inf matches every amplitude as
+    # zero (no class at all) and True would be read as 1, so all are refused
     state = uniform_superposition(3)
-    for bad in (0.0, -1e-9, math.nan, math.inf, -math.inf):
+    for bad in (0.0, -1e-9, math.nan, math.inf, -math.inf, True):
         with pytest.raises(ValueError, match="^tolerance must be positive$"):
             extract_phase_classes(state, tolerance=bad)
     assert extract_phase_classes(state, tolerance=1e-9) == [frozenset(range(8))]
+
+
+_TIE_SIZES = (0.0, 1.0, 2.0, 1 + 2.0 ** -52, 1 - 2.0 ** -52)  # offsets, in units of tol
+
+
+@st.composite
+def _near_tie_states(draw):
+    """A state of a few centres plus offsets of 0, tol, 2 tol and tol (1 +- 2^-52), in
+    random or axis directions, with exact zeros and amplitudes of size tol; its last
+    amplitude is real and makes up the norm. Half the centres lie on the grid of a dyadic
+    tol, where an axis offset is exact. Returns the state and the tolerances to try: tol,
+    one |amp|, and the distance of two amplitudes with the doubles either side of it."""
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    radius = 2.0 ** -(n // 2 + 2)  # with offsets of up to 2 tol, |psi|^2 stays under 1
+    tol = radius * draw(st.sampled_from([2.0 ** -2, 2.0 ** -10, 2.0 ** -30, 0.3]))
+    centres = radius * rng.uniform(-1, 1, (draw(st.integers(1, 4)), 2)) @ np.array([1, 1j])
+    grid = rng.random(len(centres)) < 0.5
+    centres[grid] = np.round(centres[grid] / tol) * tol
+    size = 2 ** n - 1
+    turn = np.where(rng.random(size) < 0.5, np.array([1, 1j, -1, -1j])[rng.integers(0, 4, size)],
+                    np.exp(2j * np.pi * rng.random(size)))
+    amps = (centres[rng.integers(0, len(centres), size)]
+            + tol * np.array(_TIE_SIZES)[rng.integers(0, len(_TIE_SIZES), size)] * turn)
+    kind = rng.integers(0, 6, size)
+    amps[kind == 0] = 0.0
+    amps[kind == 1] = tol * turn[kind == 1]
+    amps = np.append(amps, math.sqrt(1 - float(np.vdot(amps, amps).real)))
+    i, j = rng.integers(0, 2 ** n, 2)
+    gap = abs(complex(amps[i]) - complex(amps[j]))
+    tols = [tol, abs(complex(amps[i]))]
+    if gap > 0:
+        tols += [gap, math.nextafter(gap, 0), math.nextafter(gap, 1)]
+    return StateVector(amps), [t for t in tols if t > 0]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_near_tie_states())
+def test_phase_classes_are_those_of_the_greedy_scan_at_near_ties(case):
+    state, tolerances = case
+    for tol in tolerances:
+        assert extract_phase_classes(state, tol) == reference_phase_classes(state, tol)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(1, 10), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([1e-9, 1e-3, 2.0 ** -6, 0.05]))
+def test_phase_classes_of_random_states_are_those_of_the_greedy_scan(n, seed, tol):
+    state = StateVector(random_state(np.random.default_rng(seed), n))
+    assert extract_phase_classes(state, tol) == reference_phase_classes(state, tol)
+
+
+def test_phase_classes_of_every_placed_gate_are_those_of_the_greedy_scan():
+    rng = np.random.default_rng(32)
+    for n in range(2, 7):
+        for control, target in itertools.permutations(range(1, n + 1), 2):
+            gate = DiagonalTwoQubitGate.from_phi1(float(rng.uniform(-math.pi, math.pi)))
+            out = apply_cphase(uniform_superposition(n), gate, GatePlacement(control, target))
+            assert extract_phase_classes(out) == reference_phase_classes(out)
+            assert len(extract_phase_classes(out)) == 2
 
 
 def test_text_round_trip():

@@ -737,3 +737,15 @@ def test_primitive_vector_rational_inputs():
     for zero in ((0, 0), (Fraction(0), Fraction(0, 5)), ()):
         with pytest.raises(ValueError, match="^the zero vector has no primitive form$"):
             primitive_vector(zero)
+
+
+def test_primitive_vector_reads_numpy_coordinates_as_ints_and_refuses_bools():
+    # a numpy integer used to come back as a numpy scalar, and True was read as 1
+    for vec, want in (((np.int64(2), 4), (1, 2)), ((np.int8(-3), np.uint8(200)), (-3, 200)),
+                      ((np.int64(6), Fraction(3, 2)), (4, 1)), ((np.float64(0.5), 1), (1, 2))):
+        got = primitive_vector(vec)
+        assert got == want and all(type(c) is int for c in got)
+    for vec in ((True, 0), (0, False), (Fraction(1, 2), True)):
+        with pytest.raises(ValueError) as info:
+            primitive_vector(vec)
+        assert str(info.value) == f"coordinates must be rational numbers, not bools, got {vec!r}"
