@@ -67,7 +67,7 @@ def qubit_mask(qubit: int, n_qubits: int) -> int:
 
 
 def bit_at(index: int | np.ndarray, qubit: int, n_qubits: int) -> int | np.ndarray:
-    """Bit of `qubit` (a slot from 1 to n) in an n-qubit basis index, or in each of an array's."""
+    """Bit of slot `qubit` (1..n) in an n-qubit basis index, or elementwise in an index array."""
     slot = _integer(qubit, f"qubit slot must lie in 1..{n_qubits}, got {qubit!r}", 1, n_qubits)
     return (index >> (n_qubits - slot)) & 1
 

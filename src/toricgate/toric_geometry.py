@@ -70,7 +70,7 @@ def primitive_vector(vec: Sequence) -> IntVector:
     fracs = [Fraction(c) for c in vec]
     if all(f == 0 for f in fracs):
         raise ValueError("the zero vector has no primitive form")
-    denom = lcm(*(int(f.denominator) for f in fracs))  # a numpy integer keeps its type in both
+    denom = lcm(*(int(f.denominator) for f in fracs))  # Fraction keeps a numpy integer's type
     return _coprime([int(f.numerator) * (denom // int(f.denominator)) for f in fracs])
 
 

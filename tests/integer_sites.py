@@ -3,19 +3,21 @@ one check they all share.
 
 A row reads what its site builds from a value as plain tuples. Each site refuses a
 bool and every non-integer with one `ValueError`, whose text is the row's message
-formatted with the value. Each site takes any other integer, numpy integers
-included, and stores it as an `int`. The numpy values of a row are an `np.int8`
-and an `np.uint8` (and for coordinates an `np.int64`). Where the site computes
-with the value, the `np.uint8` is one that would overflow there if it were kept:
-2^12 amplitudes, 2^9 charts, a sign negated, a coordinate of 200 squared.
+formatted with the value. Each site takes any other integer in its range, numpy
+integers included, and stores it or computes with it as an `int`. The numpy
+values of a row are an `np.int8` and an `np.uint8` (and for coordinates an
+`np.int64`). Where the site's arithmetic could overflow a kept numpy integer, the
+`np.uint8` is one that would: 2^12 amplitudes, 2^9 charts, a sign negated, a
+coordinate of 200 squared.
 """
 from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from toricgate.phase_partition import (ClassGraph, class_graph, is_hypercube_isomorphic,
-                                       partition_vertices)
+from toricgate.bits import bit_at, bitstring
+from toricgate.phase_partition import (ClassGraph, class_graph, drop_target_bit,
+                                       is_hypercube_isomorphic, partition_vertices)
 from toricgate.statevec import GatePlacement, uniform_superposition
 from toricgate.toric_geometry import (MAX_FACTORS, Chart, Cone, Fan, LaurentSupport, Polytope,
                                       cone_contains, moment_polytope, orthant_cone,
@@ -48,11 +50,13 @@ _FACTORS = f"factor count must lie in 1..{MAX_FACTORS}"
 _DIMENSION = "dimension must be at least 1"
 _SIGN = "chart signs must be +1 or -1"
 _COORDINATE = "lattice coordinates must be exact integers, got {!r}"
+_SLOT = "qubit slot must lie in 1..3, got {!r}"
 _QUBITS = (np.int8(3), np.uint8(12))
 _FACTOR_COUNTS = (np.int8(2), np.uint8(9))
 _DIMENSIONS = (np.int8(2), np.uint8(2))
 _SIGNS = (np.int8(-1), np.uint8(1))
 _COORDINATES = (np.int8(-3), np.uint8(200), np.int64(1))
+_SLOTS = (np.int8(1), np.uint8(3))
 
 # site: (read, message, the numpy integers it takes)
 SITES = {
@@ -80,6 +84,13 @@ SITES = {
     "Fan": (lambda c: astuple(Fan(2, ((c, 0), (0, 1)), ())), _COORDINATE, _COORDINATES),
     "cone_contains": (lambda c: (cone_contains(_CONE, (c, 0)), cone_contains(_CONE, (0, c))),
                       _COORDINATE, _COORDINATES),
+    "bitstring": (lambda x: bitstring(x, 12), "basis index {!r} is out of range for 12 qubits",
+                  (np.int8(3), np.uint8(200))),
+    "bit_at": (lambda q: (bit_at(5, q, 3), tuple(bit_at(np.arange(8), q, 3).tolist())), _SLOT,
+               _SLOTS),
+    "drop_target_bit": (lambda t: (drop_target_bit(5, 3, t),
+                                   tuple(drop_target_bit(np.arange(8), 3, t).tolist())),
+                        _SLOT, _SLOTS),
 }
 
 
