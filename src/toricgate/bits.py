@@ -68,6 +68,7 @@ def qubit_mask(qubit: int, n_qubits: int) -> int:
 
 def bit_at(index: int | np.ndarray, qubit: int, n_qubits: int) -> int | np.ndarray:
     """Bit of slot `qubit` (1..n) in an n-qubit basis index, or elementwise in an index array."""
+    n_qubits = _integer(n_qubits, f"n_qubits must be at least 1, got {n_qubits!r}", 1)
     slot = _integer(qubit, f"qubit slot must lie in 1..{n_qubits}, got {qubit!r}", 1, n_qubits)
     return (index >> (n_qubits - slot)) & 1
 
@@ -84,6 +85,7 @@ def cube_edge_moves(n: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray
 
 def bitstring(index: int, n_qubits: int) -> str:
     """Basis index, an integer (not a bool) from 0 to 2^n - 1, as its n-character bit string."""
+    n_qubits = _integer(n_qubits, f"n_qubits must be at least 1, got {n_qubits!r}", 1)
     return format(_integer(index, f"basis index {index!r} is out of range for {n_qubits} qubits",
                            0, (1 << n_qubits) - 1), f"0{n_qubits}b")
 

@@ -176,6 +176,7 @@ def class_graph(partition: PhasePartition, which: str) -> ClassGraph:
 
 def drop_target_bit(vertex: int | np.ndarray, n_qubits: int, target: int) -> int | np.ndarray:
     """Delete the target-slot bit from an index (or an index array), closing the gap."""
+    n_qubits = _integer(n_qubits, f"n_qubits must be at least 1, got {n_qubits!r}", 1)
     target = _integer(target, f"qubit slot must lie in 1..{n_qubits}, got {target!r}", 1, n_qubits)
     low = qubit_mask(target, n_qubits) - 1
     dropped = vertex >> 1

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 
 class DegenerateDrive(ValueError):
@@ -24,7 +25,7 @@ class DegenerateDrive(ValueError):
 
 @dataclass(frozen=True)
 class PhysicalParams:
-    """Constants of the two-spin system and its rotating drive.
+    """Constants of the two-spin system and its rotating drive: finite real numbers, not bools.
 
     omega_i, omega_j : spin transition frequencies, omega_i > omega_j
     coupling_j      : scalar coupling J, entering every formula as pi*J
@@ -39,10 +40,12 @@ class PhysicalParams:
     drive_omega1: float
 
     def __post_init__(self) -> None:
-        values = (self.omega_i, self.omega_j, self.coupling_j,
-                  self.drive_omega, self.drive_omega1)
-        if not all(math.isfinite(float(v)) for v in values):
-            raise ValueError("physical parameters must be finite")
+        for field in fields(self):
+            v = getattr(self, field.name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise ValueError(f"{field.name} must be a real number, got {v!r}")
+            if not math.isfinite(v):
+                raise ValueError("physical parameters must be finite")
         if self.omega_i <= self.omega_j:
             raise ValueError("omega_i must exceed omega_j (spins must be distinguishable)")
         if self.drive_omega1 < 0:

@@ -6,8 +6,7 @@ integers alone. One fraction-free integer elimination routine backs the
 cone predicates: each cone reduces [G^T | I] with it once, for both its
 membership test and its dual. It takes Bareiss steps over the whole
 matrix, on int64 where a Hadamard bound of the input keeps every product in
-range and on Python ints otherwise; a pivot alone in its column, as in a
-signed orthant, costs no arithmetic. One order-keeping dedup validates the
+range and on Python ints otherwise. One order-keeping dedup validates the
 vectors of `Cone`, `Polytope` and `LaurentSupport`. Membership and duals are
 implemented for simplicial cones (linearly independent generator sets),
 which covers the signed orthants that make up the fan of an n-fold product
@@ -63,11 +62,18 @@ def _coprime(ints: Sequence[int]) -> IntVector:
 def primitive_vector(vec: Sequence) -> IntVector:
     """Scale a nonzero rational vector by a positive factor to coprime integers.
 
-    The direction is preserved: no sign normalization is applied.
+    The direction is preserved: no sign normalization is applied. A coordinate
+    that is a bool or a string, or no finite rational number, raises `ValueError`.
     """
-    if any(isinstance(c, bool) for c in vec):
+    if any(isinstance(c, (bool, np.bool_)) for c in vec):
         raise ValueError(f"coordinates must be rational numbers, not bools, got {vec!r}")
-    fracs = [Fraction(c) for c in vec]
+    message = f"coordinates must be rational numbers, got {vec!r}"
+    if any(isinstance(c, (str, bytes)) for c in vec):  # `Fraction` would parse a string
+        raise ValueError(message)
+    try:
+        fracs = [Fraction(c) for c in vec]
+    except (TypeError, OverflowError, ValueError):  # None, a complex, an infinity, a NaN
+        raise ValueError(message) from None
     if all(f == 0 for f in fracs):
         raise ValueError("the zero vector has no primitive form")
     denom = lcm(*(int(f.denominator) for f in fracs))  # Fraction keeps a numpy integer's type
@@ -188,6 +194,8 @@ class Fan:
             raise ValueError("rays must be nonzero")
         seen: set[frozenset[IntVector]] = set()
         for cone in self.maximal_cones:
+            if not (hasattr(cone, "dimension") and hasattr(cone, "generators")):
+                raise ValueError(f"maximal cones must be Cones, got {cone!r}")
             if cone.dimension != self.dimension:
                 raise ValueError("maximal cone dimension mismatch")
             if len(cone.generators) != self.dimension:
@@ -222,34 +230,31 @@ def _eliminate(rows: Iterable[Sequence[int]], pivot_cols: int) -> tuple[int, lis
     with the pivot row kept. Every entry is then an integer minor of the input
     and each division is exact. A pivot alone in its column does no arithmetic
     and keeps `prev`: by Sylvester's identity the other rows are still minors
-    of the input with that row and column struck out. Rows stay lists until the
-    first step with arithmetic, so sparse input such as the fan's signed
-    orthants costs a rank test: building the array and its bound would cost an
-    orthant more than its whole scan. The array is int64 when the Hadamard
-    bound of the rows keeps every product below 2^62, and Python ints otherwise.
+    of the input with that row and column struck out. The matrix is int64 when
+    the Hadamard bound of the rows keeps every product below 2^62, and Python
+    ints otherwise.
     """
-    m = [list(r) for r in rows]
+    if not (rows := list(rows)):
+        return 0, []
+    # every minor is at most the product of the row norms
+    bound = prod(max(1, sum(map(mul, row, row))) for row in rows)
+    m = np.array(rows, dtype=np.int64 if bound < 1 << 61 else object)
     rank, prev = 0, 1
     for col in range(pivot_cols):
-        hits = ([r for r, row in enumerate(m) if row[col]] if isinstance(m, list)
-                else m[:, col].nonzero()[0].tolist())
+        hits = m[:, col].nonzero()[0].tolist()
         i = bisect_left(hits, rank)
         if i == len(hits):
             continue
         pivot = hits[i]
         if pivot != rank:
-            m[rank], m[pivot] = m[pivot].copy(), m[rank].copy()  # array rows are views
+            m[[rank, pivot]] = m[[pivot, rank]]
         if len(hits) > 1:
-            if isinstance(m, list):
-                # every minor is at most the product of the row norms
-                bound = prod(max(1, sum(map(mul, row, row))) for row in m)
-                m = np.array(m, dtype=np.int64 if bound < 1 << 61 else object)
             top = m[rank].copy()
             lead = top[col]
             m = (lead * m - m[:, col, None] * top) // prev
             m[rank], prev = top, lead
         rank += 1
-    return rank, m if isinstance(m, list) else m.tolist()
+    return rank, m.tolist()
 
 
 # ---------------------------------------------------------------------------

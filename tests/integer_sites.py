@@ -57,6 +57,8 @@ _DIMENSIONS = (np.int8(2), np.uint8(2))
 _SIGNS = (np.int8(-1), np.uint8(1))
 _COORDINATES = (np.int8(-3), np.uint8(200), np.int64(1))
 _SLOTS = (np.int8(1), np.uint8(3))
+_WIDTH = "n_qubits must be at least 1, got {!r}"
+_WIDTHS = (np.int8(3), np.uint8(12))
 
 # site: (read, message, the numpy integers it takes)
 SITES = {
@@ -91,6 +93,12 @@ SITES = {
     "drop_target_bit": (lambda t: (drop_target_bit(5, 3, t),
                                    tuple(drop_target_bit(np.arange(8), 3, t).tolist())),
                         _SLOT, _SLOTS),
+    "bitstring n_qubits": (lambda n: bitstring(5, n), _WIDTH, _WIDTHS),
+    "bit_at n_qubits": (lambda n: (bit_at(5, 1, n), tuple(bit_at(np.arange(8), 1, n).tolist())),
+                        _WIDTH, _WIDTHS),
+    "drop_target_bit n_qubits": (lambda n: (drop_target_bit(5, n, 1),
+                                            tuple(drop_target_bit(np.arange(8), n, 1).tolist())),
+                                 _WIDTH, _WIDTHS),
 }
 
 

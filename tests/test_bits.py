@@ -14,6 +14,7 @@ from toricgate import bits
 from toricgate.bits import (_TEXT_BLOCK, _decimal_digits, _decimal_values, _float_values,
                             bit_at, bitstring, cube_edge_moves, float_tokens, index_of, indices_of,
                             label_fields, qubit_mask, row_blocks, table_text)
+from toricgate.phase_partition import drop_target_bit
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 9, 10, 13, 14])
@@ -48,6 +49,17 @@ def test_bitstring_takes_indices_of_n_bits_only(index, n):
         bitstring(index, n)
     assert str(info.value) == f"basis index {index!r} is out of range for {n} qubits"
     assert [bitstring(x, 3) for x in (0, 7, 5)] == ["000", "111", "101"]
+
+
+@pytest.mark.parametrize("n", [0, -1, np.int64(0)], ids=repr)
+def test_bit_helpers_take_at_least_one_qubit(n):
+    # n = 0 printed '0' for index 0, and a negative n was a negative shift; the
+    # count is checked before the index or slot it bounds
+    for call in (lambda: bitstring(0, n), lambda: bit_at(1, 1, n),
+                 lambda: bit_at(np.arange(2), 1, n), lambda: drop_target_bit(5, n, 1)):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == f"n_qubits must be at least 1, got {n!r}"
 
 
 @pytest.mark.parametrize("slot", [0, 4, -1, np.int64(5)], ids=repr)

@@ -1,6 +1,9 @@
 import cmath
 import math
+from decimal import Decimal
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from toricgate.spin_model import (BerryPhaseResult, DegenerateDrive,
@@ -145,6 +148,25 @@ def test_params_reject_bad_values():
         PhysicalParams(2.0, 1.0, math.nan, 1.0, 1.0)
     with pytest.raises(ValueError):
         PhysicalParams(2.0, 1.0, 0.0, 1.0, -0.5)
+
+
+@pytest.mark.parametrize("value", [True, np.True_, "3", b"3", None, 1j, Decimal("3"), [3.0]],
+                         ids=repr)
+@pytest.mark.parametrize("field", range(5))
+def test_params_refuse_what_is_no_real_number(field, value):
+    # True was kept as a frequency, and the others raised TypeError from a
+    # comparison or from float()
+    given = [3.0, 0.5, 0.0, 1.0, 1.0]
+    given[field] = value
+    name = ("omega_i", "omega_j", "coupling_j", "drive_omega", "drive_omega1")[field]
+    with pytest.raises(ValueError) as info:
+        PhysicalParams(*given)
+    assert str(info.value) == f"{name} must be a real number, got {value!r}"
+
+
+def test_params_take_any_real_number():
+    given = (3, Fraction(1, 2), np.float32(0.25), np.int8(1), 1.0)
+    assert PhysicalParams(*given) == PhysicalParams(3.0, 0.5, 0.25, 1.0, 1.0)
 
 
 def test_gate_quarter_turn():

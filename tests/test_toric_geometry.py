@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -69,6 +71,13 @@ def test_zero_cone():
     assert not cone_contains(zero, (1, 0, 0))
     with pytest.raises(NotFullDimensional):
         dual_cone(zero)
+
+
+def test_the_zero_cone_reduces_no_rows_for_its_rank_and_no_columns_for_its_functionals():
+    assert toric_geometry._eliminate([], 3) == (0, [])
+    assert is_simplicial(Cone(3, ()))
+    assert toric_geometry._eliminate([(1, 0), (0, 1)], 0) == (0, [[1, 0], [0, 1]])
+    assert cone_contains(Cone(2, ()), (0, 0)) and not cone_contains(Cone(2, ()), (1, 0))
 
 
 def test_primitive_vector():
@@ -308,6 +317,23 @@ def test_a_lone_pivot_keeps_the_bareiss_divisor():
     # a minor of the input
     assert toric_geometry._eliminate([[2, 0, 1], [1, 3, 0], [1, 0, 1]], 3) == (
         3, [[1, 0, 0], [0, 3, 0], [0, 0, 1]])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_permuted_signed_orthant_at_16_matches_rational_oracle(seed):
+    # every pivot is alone in its column and most columns take a row swap
+    rng = random.Random(seed)
+    axes = rng.sample(range(16), 16)
+    gens = tuple(tuple(rng.choice((1, -1)) if i == axis else 0 for i in range(16))
+                 for axis in axes)
+    cone = Cone(16, gens)
+    # random points, a point on a ray and the sum of the generators, inside
+    points = [tuple(rng.randint(-2, 2) for _ in range(16)) for _ in range(3)]
+    for point in points + [tuple(3 * c for c in gens[0]), tuple(map(sum, zip(*gens)))]:
+        simplicial, contains, dual = cone_oracle(16, gens, point)
+        assert is_simplicial(cone) == simplicial
+        assert cone_contains(cone, point) == contains
+        assert dual_cone(cone).generators == dual
 
 
 def test_kept_reduction_leaves_equality_hash_and_repr_alone():
@@ -613,6 +639,19 @@ def test_product_fan_matches_public_construction(n):
         assert Cone(n, got.generators) == got
 
 
+def test_product_fan_revalidates_as_built():
+    fan = product_p1_fan(8)
+    assert Fan(fan.dimension, fan.rays, fan.maximal_cones) == fan
+
+
+def test_fan_refuses_a_maximal_cone_that_is_no_cone():
+    # a generator tuple given where a cone belongs used to raise AttributeError
+    for cones in ((((1,),),), (((1,), (-1,)),), ((1,),), (None,)):
+        with pytest.raises(ValueError) as info:
+            Fan(1, ((1,), (-1,)), cones)
+        assert str(info.value) == f"maximal cones must be Cones, got {cones[0]!r}"
+
+
 def test_product_fan_needs_no_elimination(monkeypatch):
     # the product fan is taken as built; a fan built by hand, on the axes
     # or not, still has every cone go through elimination
@@ -745,7 +784,21 @@ def test_primitive_vector_reads_numpy_coordinates_as_ints_and_refuses_bools():
                       ((np.int64(6), Fraction(3, 2)), (4, 1)), ((np.float64(0.5), 1), (1, 2))):
         got = primitive_vector(vec)
         assert got == want and all(type(c) is int for c in got)
-    for vec in ((True, 0), (0, False), (Fraction(1, 2), True)):
+    for vec in ((True, 0), (0, False), (Fraction(1, 2), True), (np.True_, 0), (1, np.False_)):
         with pytest.raises(ValueError) as info:
             primitive_vector(vec)
         assert str(info.value) == f"coordinates must be rational numbers, not bools, got {vec!r}"
+
+
+def test_primitive_vector_refuses_strings_and_non_rationals_with_one_error():
+    # Fraction parsed "1/2" as a half, and None, an infinity or a NaN let a
+    # TypeError, an OverflowError or Fraction's own ValueError out
+    for vec in (("1/2", 1), (1, "2"), (b"1", 1), (None, 1), (math.inf, 1), (1, -math.inf),
+                (math.nan, 0), (Decimal("NaN"), 1), (1j, 1), (np.complex128(1), 1), ([1], 0)):
+        with pytest.raises(ValueError) as info:
+            primitive_vector(vec)
+        assert str(info.value) == f"coordinates must be rational numbers, got {vec!r}"
+    for vec, want in (((Decimal("0.5"), 1), (1, 2)), ((np.float64(-1.5), 3), (-1, 2)),
+                      ((np.uint8(4), Fraction(2, 3)), (6, 1))):
+        got = primitive_vector(vec)
+        assert got == want and all(type(c) is int for c in got)
