@@ -25,7 +25,7 @@ class DegenerateDrive(ValueError):
 
 @dataclass(frozen=True)
 class PhysicalParams:
-    """Constants of the two-spin system and its rotating drive: finite real numbers, not bools.
+    """Constants of the two-spin system and its drive: finite reals, not bools, stored as floats.
 
     omega_i, omega_j : spin transition frequencies, omega_i > omega_j
     coupling_j      : scalar coupling J, entering every formula as pi*J
@@ -44,8 +44,13 @@ class PhysicalParams:
             v = getattr(self, field.name)
             if isinstance(v, bool) or not isinstance(v, numbers.Real):
                 raise ValueError(f"{field.name} must be a real number, got {v!r}")
-            if not math.isfinite(v):
+            try:
+                finite = math.isfinite(v := float(v))
+            except OverflowError:  # an int or a Fraction past float range
+                finite = False
+            if not finite:
                 raise ValueError("physical parameters must be finite")
+            object.__setattr__(self, field.name, v)  # berry_phases computes in float64
         if self.omega_i <= self.omega_j:
             raise ValueError("omega_i must exceed omega_j (spins must be distinguishable)")
         if self.drive_omega1 < 0:
@@ -127,13 +132,8 @@ def hamiltonian_diagonal(params: PhysicalParams) -> tuple[float, float, float, f
     """
     pi_j = math.pi * params.coupling_j
     w_i, w_j = params.omega_i, params.omega_j
-    return _finite(
-        "Hamiltonian entries",
-        0.5 * (w_i + w_j + pi_j),
-        0.5 * (w_i - w_j - pi_j),
-        0.5 * (-w_i + w_j - pi_j),
-        0.5 * (-w_i - w_j + pi_j),
-    )
+    return _finite("Hamiltonian entries", 0.5 * (w_i + w_j + pi_j), 0.5 * (w_i - w_j - pi_j),
+                   0.5 * (-w_i + w_j - pi_j), 0.5 * (-w_i - w_j + pi_j))
 
 
 def transition_frequencies(params: PhysicalParams) -> tuple[float, float]:

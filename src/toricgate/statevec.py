@@ -9,13 +9,13 @@ two bits agree and by `b` where they differ, which is why the placement is
 symmetric under swapping control and target. The phase classes of
 `phase_partition` read that test from the same kernel as the gate, `_agreement`.
 
-`apply_cphase` reads the state once, `_BLOCK` amplitudes at a time. Unless the bounds a state
-keeps on its exact |psi|^2 prove the output normalized, it sums each block's |amp|^2 in cache.
-Besides its output it allocates two one-block factor vectors, at most 1/8 of the state.
-From `_SPARE_MIN` amplitudes (32 MiB) up, it writes into the buffer of one of
-its last two outputs that nothing refers to any more, so a chain of gates does
-not fault in fresh zeroed pages. Below that, malloc reuses freed memory itself,
-and buffers held back would keep glibc from raising its mmap threshold.
+`apply_cphase` reads the state once, `_BLOCK` amplitudes at a time, and only multiplies.
+|psi|^2 is summed in one place, the `StateVector` constructor, one `np.vdot` per block of the
+gate's. Besides its output the gate allocates two one-block factor vectors, at most 1/8 of
+the state. From `_SPARE_MIN` amplitudes (32 MiB) up, it writes into the buffer of one of its
+last two outputs that nothing refers to any more, so a chain of gates does not fault in fresh
+zeroed pages. Below that, malloc reuses freed memory itself, and buffers held back would keep
+glibc from raising its mmap threshold.
 """
 from __future__ import annotations
 
@@ -74,8 +74,8 @@ class StateVector:
 
     def __init__(self, amplitudes, *, _owned: bool = False, _norm_sq: float | None = None,
                  _norm_range: tuple[float, float] = (0.0, math.inf)) -> None:
-        # _owned: a complex array just built here, adopted uncopied; _norm_sq: its |psi|^2 as
-        # summed, or else a bound within _NORM_TOL / 2 of 1; _norm_range: its proved bounds
+        # _owned: a complex array just built here, adopted uncopied; _norm_sq: a |psi|^2 known
+        # without a sum, or a bound within _NORM_TOL / 2 of 1; _norm_range: its proved bounds
         amps = amplitudes if _owned else np.array(amplitudes, dtype=complex)
         if amps.ndim != 1:
             raise ValueError("amplitudes must form a one-dimensional array")
@@ -85,8 +85,11 @@ class StateVector:
             raise ValueError("amplitude count must be a power of two, at least 2")
         if n > MAX_QUBITS:
             raise ValueError(f"dense representation is capped at {MAX_QUBITS} qubits")
-        if _norm_sq is None:  # a sum of 2m products errs by at most 2m * 2^-53
-            _norm_range = _bounds(_norm_sq := float(np.vdot(amps, amps).real), size + 1)
+        if _norm_sq is None:  # summed in apply_cphase's blocks, in order: one bound for both
+            block, _norm_sq = min(_BLOCK, max(size >> 4, 1)), 0.0
+            for start in range(0, size, block):  # `sum` would compensate on Python 3.12
+                _norm_sq += np.vdot(amps[start:start + block], amps[start:start + block]).real
+            _norm_range = _bounds(_norm_sq, block + size // block)
         if not abs(_norm_sq - 1.0) <= _NORM_TOL:  # fails closed on NaN
             raise ValueError(f"state is not normalized: |psi|^2 = {float(_norm_sq)!r}")
         amps.flags.writeable = False  # kept as a view: numpy lets no view of it be made writeable
@@ -140,11 +143,11 @@ def apply_cphase(state: StateVector, gate: DiagonalTwoQubitGate,
                  placement: GatePlacement) -> StateVector:
     """Apply a diagonal (a, b, b, a) gate on the given control/target pair.
 
-    Amplitudes whose control and target bits agree are scaled by the gate's
-    equal-bits factor, the rest by the unequal-bits factor. Norm is
-    preserved and gates on disjoint placements commute. The |amp|^2 pass runs only
-    when the output's bounds leave _NORM_TOL / 2 of 1. As that sum errs by under 4e-12,
-    a skipped pass would have accepted too: every outcome is that of a pass on every gate.
+    Amplitudes whose control and target bits agree are scaled by the gate's equal-bits factor,
+    the rest by the unequal-bits factor. Norm is preserved and gates on disjoint placements
+    commute. The gate only multiplies: its output's constructor sums |amp|^2 when the bounds
+    carried through the factors leave _NORM_TOL / 2 of 1. As that sum errs by under 4e-12, a
+    skipped sum would have accepted too: each outcome is that of a sum after every gate.
     """
     amps = state.amplitudes
     block = min(_BLOCK, max(amps.size >> 4, 1))  # the factors stay within 1/8 of the state
@@ -153,14 +156,12 @@ def apply_cphase(state: StateVector, gate: DiagonalTwoQubitGate,
     factors = np.where(within, eq, ne), np.where(within, ne, eq)  # a block's first bits agree, differ
     (lo, hi), scales = state._norm_range, (abs(eq) ** 2, abs(ne) ** 2)
     lo, hi = lo * min(scales) * (1 - _GATE_SLACK), hi * max(scales) * (1 + _GATE_SLACK)
-    summed = not 1 - _NORM_TOL / 2 <= lo <= hi <= 1 + _NORM_TOL / 2  # fails closed on NaN
-    out, norm_sq = np.empty_like(amps) if amps.size < _SPARE_MIN else _spare(amps), 0.0
+    out = np.empty_like(amps) if amps.size < _SPARE_MIN else _spare(amps)
     for start, same in zip(range(0, amps.size, block), firsts.tolist()):
         part = out[start:start + block]  # amplitudes first: with FMA the order sets the last bit
         np.multiply(amps[start:start + block], factors[not same], out=part)
-        norm_sq += np.vdot(part, part).real if summed else 0.0
-    lo, hi = _bounds(norm_sq, block + amps.size // block) if summed else (lo, hi)
-    return StateVector(out, _owned=True, _norm_sq=norm_sq if summed else hi, _norm_range=(lo, hi))
+    kept = 1 - _NORM_TOL / 2 <= lo <= hi <= 1 + _NORM_TOL / 2  # fails closed on NaN
+    return StateVector(out, _owned=True, _norm_sq=hi if kept else None, _norm_range=(lo, hi))
 
 
 def _spare(amps: np.ndarray) -> np.ndarray:

@@ -71,7 +71,8 @@ def primitive_vector(vec: Sequence) -> IntVector:
     if any(isinstance(c, (str, bytes)) for c in vec):  # `Fraction` would parse a string
         raise ValueError(message)
     try:
-        fracs = [Fraction(c) for c in vec]
+        fracs = [Fraction(*c.as_integer_ratio()) if isinstance(c, np.floating) else Fraction(c)
+                 for c in vec]  # Fraction reads a numpy float only if it is a Python float
     except (TypeError, OverflowError, ValueError):  # None, a complex, an infinity, a NaN
         raise ValueError(message) from None
     if all(f == 0 for f in fracs):
@@ -194,7 +195,7 @@ class Fan:
             raise ValueError("rays must be nonzero")
         seen: set[frozenset[IntVector]] = set()
         for cone in self.maximal_cones:
-            if not (hasattr(cone, "dimension") and hasattr(cone, "generators")):
+            if not isinstance(cone, Cone):
                 raise ValueError(f"maximal cones must be Cones, got {cone!r}")
             if cone.dimension != self.dimension:
                 raise ValueError("maximal cone dimension mismatch")

@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import fields
 from decimal import Decimal
 from fractions import Fraction
 
@@ -167,6 +168,26 @@ def test_params_refuse_what_is_no_real_number(field, value):
 def test_params_take_any_real_number():
     given = (3, Fraction(1, 2), np.float32(0.25), np.int8(1), 1.0)
     assert PhysicalParams(*given) == PhysicalParams(3.0, 0.5, 0.25, 1.0, 1.0)
+
+
+def test_params_are_stored_as_floats():
+    # a float32 field was kept as it was, so berry_phases computed in float32
+    params = PhysicalParams(3, Fraction(1, 2), np.float32(0.25), np.int8(1), np.float16(1))
+    assert all(type(getattr(params, field.name)) is float for field in fields(params))
+    got, want = (berry_phases(PhysicalParams(10.0, 4.0, j, 10.0, 0.8)).phi_1
+                 for j in (np.float32(1.1), float(np.float32(1.1))))
+    assert type(got) is float and got == want
+
+
+@pytest.mark.parametrize("value", [10**400, -10**400, Fraction(10**400, 3)],
+                         ids=["int", "negative-int", "fraction"])
+@pytest.mark.parametrize("field", range(5))
+def test_params_refuse_numbers_past_float_range(field, value):
+    # an int or a Fraction too large for a float raised a bare OverflowError
+    given = [3.0, 0.5, 0.0, 1.0, 1.0]
+    given[field] = value
+    with pytest.raises(ValueError, match="^physical parameters must be finite$"):
+        PhysicalParams(*given)
 
 
 def test_gate_quarter_turn():

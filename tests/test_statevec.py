@@ -283,10 +283,11 @@ def test_agreement_kernel_expands_to_the_xnor_classes():
                 statevec._agreement(placement, n, 1)
 
 
-def test_apply_norm_summed_by_blocks_matches_vdot(monkeypatch):
+def test_norm_summed_once_by_blocks_matches_vdot(monkeypatch):
     # a state with |psi|^2 = 1 + 6e-10 is accepted, but its bounds leave
-    # _NORM_TOL / 2 of 1, so a gate on it sums every block; on the same state
-    # normalized the bounds stay within, and the gate runs no sum at all
+    # _NORM_TOL / 2 of 1, so a gate on it hands its output no |psi|^2 and the
+    # output's constructor sums every amplitude once, block by block in order;
+    # on the same state normalized the bounds stay within, and nothing is summed
     adopted, summed, vdot = [], [], np.vdot
 
     def recording(amps, **kwargs):
@@ -294,7 +295,7 @@ def test_apply_norm_summed_by_blocks_matches_vdot(monkeypatch):
         return StateVector(amps, **kwargs)
 
     def counting(a, b):
-        summed.append(a.size)
+        summed.append(a.copy())
         return vdot(a, b)
 
     monkeypatch.setattr(statevec, "StateVector", recording)
@@ -305,14 +306,34 @@ def test_apply_norm_summed_by_blocks_matches_vdot(monkeypatch):
         wide, unit = StateVector(amps * math.sqrt(1 + 6e-10)), StateVector(amps)
         for control, target in ((1, 2), (1, n), (n, n - 1)):
             monkeypatch.setattr(np, "vdot", counting)
-            out = apply_cphase(wide, gate, GatePlacement(control, target)).amplitudes
-            assert sum(summed) == out.size
+            out = apply_cphase(wide, gate, GatePlacement(control, target))
+            assert adopted.pop() is None
+            assert np.array_equal(np.concatenate(summed), out.amplitudes)
             summed.clear()
             apply_cphase(unit, gate, GatePlacement(control, target))
-            assert summed == []
+            assert summed == [] and adopted.pop() is not None
             monkeypatch.setattr(np, "vdot", vdot)
-            adopted.pop()  # the normalized state's, a bound rather than a sum
-            assert abs(adopted.pop() - np.vdot(out, out).real) <= 1e-12
+            lo, hi = out._norm_range  # about the sum, 2^-52 times the terms either side
+            assert abs((lo + hi) / 2 - np.vdot(out.amplitudes, out.amplitudes).real) <= 1e-12
+
+
+def test_a_read_state_and_a_gate_at_n_22_sum_each_amplitude_once(spares, monkeypatch):
+    # the constructor's blocked sum leaves bounds about 3.7e-12 either side of
+    # |psi|^2, so the gate after it skips its pass; a whole-array sum's bound,
+    # (2^22 + 1) 2^-52 or 9.3e-10, would have had the gate sum again
+    summed, vdot = [], np.vdot
+
+    def counting(a, b):
+        summed.append(a.size)
+        return vdot(a, b)
+
+    amps = random_state(np.random.default_rng(22), 22)
+    monkeypatch.setattr(np, "vdot", counting)
+    state = StateVector(amps)
+    apply_cphase(state, DiagonalTwoQubitGate.from_phi1(0.3), GatePlacement(3, 22))
+    assert sum(summed) == 2 ** 22
+    lo, hi = state._norm_range
+    assert 0 < hi - lo < 1e-11
 
 
 _moduli = st.floats(1 - 1e-12, 1 + 1e-12)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from helpers import cone_oracle, rational_rref, reference_fan_text, reference_polytope_text
 from integer_sites import accepts, refuses
-from toricgate import toric_geometry
+from toricgate import bits, toric_geometry
 from toricgate.toric_geometry import (MAX_FACTORS, Chart, Cone, Fan, LaurentSupport,
                                       NonSimplicialCone, NotFullDimensional,
                                       Polytope, cone_contains, dual_cone,
@@ -646,7 +646,9 @@ def test_product_fan_revalidates_as_built():
 
 def test_fan_refuses_a_maximal_cone_that_is_no_cone():
     # a generator tuple given where a cone belongs used to raise AttributeError
-    for cones in ((((1,),),), (((1,), (-1,)),), ((1,),), (None,)):
+    # and an object with a dimension and generators that is no Cone was taken as one
+    for cones in ((((1,),),), (((1,), (-1,)),), ((1,),), (None,),
+                  (SimpleNamespace(dimension=1, generators=((1,),)),)):
         with pytest.raises(ValueError) as info:
             Fan(1, ((1,), (-1,)), cones)
         assert str(info.value) == f"maximal cones must be Cones, got {cones[0]!r}"
@@ -680,7 +682,7 @@ def test_fan_and_polytope_text_bytes(n):
 
 # --- Fan rejections: (dimension, rays, cone generator tuples, message) ------
 # A cone given as an object instead of a generator tuple is passed as it is:
-# `Cone` drops repeated generators, a hand-built cone object may not.
+# `Cone` drops repeated generators, a cone made by `bits._adopt` does not.
 
 _SQUARE = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
@@ -728,7 +730,7 @@ FAN_REJECTIONS = {
                         [((1, 0, 0), (0, 1, 0), (1, 1, 0))],
                         "maximal cones must be simplicial"),
     "repeated generator": (2, ((0, 1), (1, 0)),
-                           [SimpleNamespace(dimension=2, generators=((1, 0), (1, 0)))],
+                           [bits._adopt(Cone, dimension=2, generators=((1, 0), (1, 0)))],
                            "maximal cones must be simplicial"),
 }
 
@@ -788,6 +790,20 @@ def test_primitive_vector_reads_numpy_coordinates_as_ints_and_refuses_bools():
         with pytest.raises(ValueError) as info:
             primitive_vector(vec)
         assert str(info.value) == f"coordinates must be rational numbers, not bools, got {vec!r}"
+
+
+def test_primitive_vector_reads_numpy_floats_exactly():
+    # Fraction took no numpy float but float64, which is a Python float
+    for vec, want in (((np.float32(0.5), 1), (1, 2)), ((np.float16(-0.75), 3), (-1, 4)),
+                      ((np.float32(0.1), 1), (13421773, 134217728)),
+                      ((np.longdouble(0.25), Fraction(1, 3)), (3, 4))):
+        got = primitive_vector(vec)
+        assert got == want and all(type(c) is int for c in got)
+    assert primitive_vector((np.float32(0.5), 1)) == primitive_vector((np.float64(0.5), 1))
+    for vec in ((np.float32("nan"), 1), (1, np.float32("inf")), (np.float16("-inf"), 0)):
+        with pytest.raises(ValueError) as info:
+            primitive_vector(vec)
+        assert str(info.value) == f"coordinates must be rational numbers, got {vec!r}"
 
 
 def test_primitive_vector_refuses_strings_and_non_rationals_with_one_error():
