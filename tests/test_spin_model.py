@@ -166,13 +166,9 @@ def test_params_refuse_what_is_no_real_number(field, value):
 
 
 def test_params_take_any_real_number():
-    given = (3, Fraction(1, 2), np.float32(0.25), np.int8(1), 1.0)
-    assert PhysicalParams(*given) == PhysicalParams(3.0, 0.5, 0.25, 1.0, 1.0)
-
-
-def test_params_are_stored_as_floats():
-    # a float32 field was kept as it was, so berry_phases computed in float32
+    # each is stored as a float: a float32 field was kept, and berry_phases computed in float32
     params = PhysicalParams(3, Fraction(1, 2), np.float32(0.25), np.int8(1), np.float16(1))
+    assert params == PhysicalParams(3.0, 0.5, 0.25, 1.0, 1.0)
     assert all(type(getattr(params, field.name)) is float for field in fields(params))
     got, want = (berry_phases(PhysicalParams(10.0, 4.0, j, 10.0, 0.8)).phi_1
                  for j in (np.float32(1.1), float(np.float32(1.1))))

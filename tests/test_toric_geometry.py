@@ -781,9 +781,13 @@ def test_primitive_vector_rational_inputs():
 
 
 def test_primitive_vector_reads_numpy_coordinates_as_ints_and_refuses_bools():
-    # a numpy integer used to come back as a numpy scalar, and True was read as 1
+    # a numpy integer used to come back as a numpy scalar, and True was read as 1;
+    # Fraction took no numpy float but float64, a Python float, and each is read exactly
     for vec, want in (((np.int64(2), 4), (1, 2)), ((np.int8(-3), np.uint8(200)), (-3, 200)),
-                      ((np.int64(6), Fraction(3, 2)), (4, 1)), ((np.float64(0.5), 1), (1, 2))):
+                      ((np.int64(6), Fraction(3, 2)), (4, 1)), ((np.float64(0.5), 1), (1, 2)),
+                      ((np.float32(0.5), 1), (1, 2)), ((np.float16(-0.75), 3), (-1, 4)),
+                      ((np.float32(0.1), 1), (13421773, 134217728)),
+                      ((np.longdouble(0.25), Fraction(1, 3)), (3, 4))):
         got = primitive_vector(vec)
         assert got == want and all(type(c) is int for c in got)
     for vec in ((True, 0), (0, False), (Fraction(1, 2), True), (np.True_, 0), (1, np.False_)):
@@ -792,25 +796,12 @@ def test_primitive_vector_reads_numpy_coordinates_as_ints_and_refuses_bools():
         assert str(info.value) == f"coordinates must be rational numbers, not bools, got {vec!r}"
 
 
-def test_primitive_vector_reads_numpy_floats_exactly():
-    # Fraction took no numpy float but float64, which is a Python float
-    for vec, want in (((np.float32(0.5), 1), (1, 2)), ((np.float16(-0.75), 3), (-1, 4)),
-                      ((np.float32(0.1), 1), (13421773, 134217728)),
-                      ((np.longdouble(0.25), Fraction(1, 3)), (3, 4))):
-        got = primitive_vector(vec)
-        assert got == want and all(type(c) is int for c in got)
-    assert primitive_vector((np.float32(0.5), 1)) == primitive_vector((np.float64(0.5), 1))
-    for vec in ((np.float32("nan"), 1), (1, np.float32("inf")), (np.float16("-inf"), 0)):
-        with pytest.raises(ValueError) as info:
-            primitive_vector(vec)
-        assert str(info.value) == f"coordinates must be rational numbers, got {vec!r}"
-
-
 def test_primitive_vector_refuses_strings_and_non_rationals_with_one_error():
     # Fraction parsed "1/2" as a half, and None, an infinity or a NaN let a
     # TypeError, an OverflowError or Fraction's own ValueError out
     for vec in (("1/2", 1), (1, "2"), (b"1", 1), (None, 1), (math.inf, 1), (1, -math.inf),
-                (math.nan, 0), (Decimal("NaN"), 1), (1j, 1), (np.complex128(1), 1), ([1], 0)):
+                (math.nan, 0), (Decimal("NaN"), 1), (1j, 1), (np.complex128(1), 1), ([1], 0),
+                (np.float32("nan"), 1), (1, np.float32("inf")), (np.float16("-inf"), 0)):
         with pytest.raises(ValueError) as info:
             primitive_vector(vec)
         assert str(info.value) == f"coordinates must be rational numbers, got {vec!r}"
