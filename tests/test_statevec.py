@@ -317,7 +317,7 @@ def test_norm_summed_once_by_blocks_matches_vdot(monkeypatch):
             assert abs((lo + hi) / 2 - np.vdot(out.amplitudes, out.amplitudes).real) <= 1e-12
 
 
-def test_a_read_state_and_a_gate_at_n_22_sum_each_amplitude_once(spares, monkeypatch):
+def test_a_state_and_a_gate_at_n_22_sum_each_amplitude_once(spares, monkeypatch):
     # the constructor's blocked sum leaves bounds about 3.7e-12 either side of
     # |psi|^2, so the gate after it skips its pass; a whole-array sum's bound,
     # (2^22 + 1) 2^-52 or 9.3e-10, would have had the gate sum again
