@@ -154,7 +154,7 @@ def _cmd_render(args: argparse.Namespace) -> list[str]:
         _named("--n", args.n, _svg_projection)
         blocks = [render_partition_svg(partition_vertices(args.n, placement)).encode()]
     else:
-        _check_dot_qubits(args.n)
+        _named("--n", args.n, _check_dot_qubits)
         _named("--n", args.n, _check_qubit_count)
         blocks = _dot_blocks(partition_vertices(args.n, placement))
     try:

@@ -80,9 +80,10 @@ class ClassGraph:
         _check_placement(self.placement, self.n_qubits)
         if self.phase_class not in ("phi1", "phi2"):
             raise ValueError("phase_class must be 'phi1' or 'phi2'")
-        verts = np.sort(np.array(self.vertices, dtype=np.int64))
-        verts = verts[np.diff(verts, prepend=verts[:1] - 1) != 0]  # distinct, no hash table
-        ends = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+        verts, ends = (np.array(labels, dtype=np.int64) for labels in (self.vertices, self.edges))
+        if not (np.array_equal(verts, self.vertices) and np.array_equal(ends, self.edges)):
+            raise ValueError("vertex labels must be integers")  # not "3" read as 3, 3.5 cut to 3
+        verts, ends = np.unique(verts), ends.reshape(-1, 2)
         at = np.searchsorted(verts, ends)  # where each end is, or would go, among the vertices
         foreign = verts.take(at, mode="clip") != ends if verts.size else np.ones(ends.shape, bool)
         unordered = ends[:, 0] >= ends[:, 1]
@@ -136,9 +137,7 @@ def _check_graph_qubits(n_qubits: int) -> int:
     return n
 
 
-def partition_vertices(n_qubits: int, placement: GatePlacement) -> PhasePartition:
-    """Split the n-bit strings by agreement of the control and target bits."""
-    return PhasePartition(n_qubits, placement)
+partition_vertices = PhasePartition  # split the n-bit strings by agreement of the placed bits
 
 
 def _class_arrays(partition: PhasePartition, which: str

@@ -140,7 +140,7 @@ def render_partition_svg(partition: PhasePartition) -> str:
 
 def _check_dot_qubits(n: int) -> None:
     if n > MAX_DOT_QUBITS:
-        raise ValueError(f"--n {n}: DOT output is capped at {MAX_DOT_QUBITS} qubits")
+        raise ValueError(f"DOT output is capped at {MAX_DOT_QUBITS} qubits")
 
 
 def _edge_templates(lows: np.ndarray, n: int, tail: str) -> np.ndarray:

@@ -463,6 +463,17 @@ def test_class_graph_foreign_vertex_is_value_error():
             ClassGraph(2, GatePlacement(1, 2), "phi1", vertices, edges)
 
 
+def test_class_graph_refuses_labels_it_would_parse_or_truncate():
+    # an int64 array reads "3" as 3 and cuts 0.5 to 0; a label it does not hold
+    # exactly is refused, in the vertices or in the edges
+    for vertices, edges in (((0.5, 3), ((0, 3),)), (("0", "3"), ((0, 3),)),
+                            ((0, 3), ((0.5, 3),)), ((0, 3), (("0", "3"),))):
+        with pytest.raises(ValueError, match="^vertex labels must be integers$"):
+            ClassGraph(2, GatePlacement(1, 2), "phi1", vertices, edges)
+    exact = ClassGraph(2, GatePlacement(1, 2), "phi1", (0.0, np.int8(3)), ((0, 3.0),))
+    assert (exact._verts.tolist(), exact._ends.tolist()) == ([0, 3], [[0, 3]])
+
+
 def test_intersection_summary_examples():
     two = intersection_summary(partition_vertices(2, GatePlacement(1, 2)))
     assert two.shared_vertices == 0

@@ -156,7 +156,7 @@ def test_dot_refuses_more_qubits_than_its_cap(monkeypatch):
         raise AssertionError("built before the cap was checked")
     monkeypatch.setattr("toricgate.render.label_fields", refuse)
     monkeypatch.setattr("toricgate.render.cube_edge_moves", refuse)
-    with pytest.raises(ValueError, match=r"^--n 5: DOT output is capped at 4 qubits$"):
+    with pytest.raises(ValueError, match=r"^DOT output is capped at 4 qubits$"):
         _dot(5)
 
 
