@@ -81,7 +81,8 @@ class ClassGraph:
         if self.phase_class not in ("phi1", "phi2"):
             raise ValueError("phase_class must be 'phi1' or 'phi2'")
         verts, ends = (np.array(labels, dtype=np.int64) for labels in (self.vertices, self.edges))
-        if not (np.array_equal(verts, self.vertices) and np.array_equal(ends, self.edges)):
+        given = (np.array(labels, dtype=object) for labels in (self.vertices, self.edges))
+        if not all(map(np.array_equal, (verts, ends), given)):  # numpy < 1.25 warns on str == int
             raise ValueError("vertex labels must be integers")  # not "3" read as 3, 3.5 cut to 3
         verts, ends = np.unique(verts), ends.reshape(-1, 2)
         at = np.searchsorted(verts, ends)  # where each end is, or would go, among the vertices
